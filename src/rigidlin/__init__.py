@@ -46,7 +46,6 @@ from .groups import (
     WordToken,
     elementary_matrix,
     embed_stabilize,
-    evaluate_word,
     form_matrix,
     format_word,
     parse_word,
@@ -55,6 +54,7 @@ from .groups import (
     unitary_generator,
 )
 from .witnesses import (
+    PreparedConjugator,
     ShearWitness,
     StabilizerContext,
     block_unipotent_witnesses,
@@ -83,6 +83,7 @@ __all__ = [
     "Modular",
     "NotInvertibleError",
     "ParseError",
+    "PreparedConjugator",
     "PrimeFieldPolynomials",
     "Ring",
     "SUITE_IDS",
@@ -99,7 +100,6 @@ __all__ = [
     "conjugate_by_stabilizer",
     "elementary_matrix",
     "embed_stabilize",
-    "evaluate_word",
     "form_matrix",
     "format_matrix",
     "format_vector",

@@ -6,8 +6,8 @@ the ``e(i,j,r);rl(i,a);rs(i,j,a)`` token grammar, rings the descriptors
 ``Z``, ``Z/6``, ``Fp[x]/5``, ``Z[x]``, ``Zi``.
 
 Exit codes: 0 when the requested check passes, 1 when a suite reports a
-failure, 2 on usage errors (bad literals, unsupported rings, unknown
-suites).
+failure or a verified identity fails, 2 on usage errors (bad literals,
+unsupported rings, unknown suites, out-of-range parameters).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 
-from .errors import ParseError, UnsupportedRingError
+from .errors import IdentityViolation, ParseError, UnsupportedRingError
 from .groups import form_matrix, format_word, parse_word, preserves_form
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix
 from .normal_forms import smith_normal_form, kernel_basis, solution_stream
@@ -231,6 +231,9 @@ def main(argv=None) -> int:
     except (ParseError, UnsupportedRingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except IdentityViolation as exc:
+        print(f"error: identity violation: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -219,10 +219,6 @@ class GeneratorWord:
         return GeneratorWord(self.ring, self.kind, self.n, flipped)
 
 
-def evaluate_word(word: GeneratorWord) -> Matrix:
-    return word.evaluate()
-
-
 _TOKEN_RE = re.compile(r"^(e|rl|rs)\(([^()]*)\)(\^-1)?$")
 
 

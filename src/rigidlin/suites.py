@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .errors import UnsupportedRingError
+from .errors import IdentityViolation, UnsupportedRingError
 from .groups import (
     GeneratorWord,
     WordToken,
@@ -34,7 +34,6 @@ from .matrix import (
     format_vector,
     outer_product,
     unit_vector,
-    vec_dot,
     vec_is_zero,
 )
 from .normal_forms import (
@@ -46,6 +45,7 @@ from .normal_forms import (
 )
 from .rings import Integers, IntegerPolynomials, Ring
 from .witnesses import (
+    PreparedConjugator,
     StabilizerContext,
     block_unipotent_witnesses,
     conjugate_by_stabilizer,
@@ -314,40 +314,45 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
             "extra": {"finite_ring": False}}
 
 
-def _stabilizer_trial(ring: Ring, n: int, seed: int, trial: int, p: dict):
-    """Deterministic context + witnesses shared by the intersection and
-    conjugation suites (same seed => same witnesses)."""
-    rng = _rng(seed, "lemma-ke", trial)
-    words = [
-        random_elementary_word(rng, ring, n, rng.randint(1, p["word_length"]), p["param_bound"])
-        for _ in range(n - 2)
-    ]
-    ctx = StabilizerContext(ring, n, tuple(w.evaluate() for w in words))
-    witnesses = list(itertools.islice(intersection_witnesses(ctx, p["need"]), p["need"]))
-    return words, ctx, witnesses
+def _require_positive(p: dict, *keys):
+    for key in keys:
+        if p[key] < 1:
+            raise ValueError(f"{key} must be at least 1, got {p[key]}")
+
+
+def _stabilizer_trials(ring: Ring, p: dict, failures: list):
+    """Per trial, a deterministic context and its witnesses, shared by the
+    intersection and conjugation suites (same seed => same witnesses).  A
+    witness failing its identity is recorded and ends its trial."""
+    n = p["n"]
+    for t in range(p["trials"]):
+        rng = _rng(p["seed"], "lemma-ke", t)
+        words = [random_elementary_word(rng, ring, n, rng.randint(1, p["word_length"]),
+                                        p["param_bound"]) for _ in range(n - 2)]
+        ctx = StabilizerContext(ring, n, tuple(w.evaluate() for w in words))
+        label = " | ".join(format_word(w) for w in words)
+        try:
+            witnesses = list(itertools.islice(intersection_witnesses(ctx, p["need"]), p["need"]))
+        except IdentityViolation as exc:
+            _fail(failures, label, "verified intersection witnesses", repr(exc))
+            continue
+        yield t, words, label, ctx, witnesses
 
 
 def _suite_intersection(ring: Ring, p: dict) -> dict:
     n = p["n"]
     if n < 3:
         raise ValueError("the intersection suite needs n >= 3")
+    _require_positive(p, "trials", "need", "word_length", "param_bound")
     failures: list = []
     kept = []
     need = p["need"]
-    for t in range(p["trials"]):
-        words, ctx, witnesses = _stabilizer_trial(ring, n, p["seed"], t, p)
-        label = " | ".join(format_word(w) for w in words)
+    for t, words, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
         if not ring.is_finite and len(witnesses) < need:
             _fail(failures, label, f"{need} witnesses", str(len(witnesses)))
         matrices = {w.matrix for w in witnesses}
         if len(matrices) != len(witnesses):
             _fail(failures, label, "pairwise distinct witnesses", str(len(matrices)))
-        e1 = ctx.e1
-        for w in witnesses:
-            for g, g_inv in zip(ctx.conjugators, ctx.inverses):
-                if g_inv.apply(w.matrix.apply(g.column(0))) != e1:
-                    _fail(failures, label, "g^-1 T g e1 == e1", format_matrix(w.matrix))
-                    break
         if t == 0:
             kept.append({"conjugators": [format_word(w) for w in words],
                          "witnesses": [format_matrix(w.matrix) for w in witnesses[:3]]})
@@ -387,42 +392,30 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
                 w = [ring.add(a, ring.mul(c, b)) for a, b in zip(w, gen)]
         block = block @ (Matrix.identity(ring, dim) + outer_product(ring, tuple(w), psi))
     top = (ring.one,) + x_part
-    grid = [top] + [
-        (ring.zero,) + tuple(block.entries[r]) for r in range(dim)
-    ]
-    return Matrix(ring, grid)
+    return Matrix._raw(ring, (top,) + tuple((ring.zero,) + row for row in block.entries))
 
 
 def _suite_conjugation(ring: Ring, p: dict) -> dict:
     n = p["n"]
+    _require_positive(p, "trials", "need", "word_length", "param_bound", "conjugators")
     failures: list = []
     kept = []
-    for t in range(p["trials"]):
-        words, ctx, witnesses = _stabilizer_trial(ring, n, p["seed"], t, p)
-        label = " | ".join(format_word(w) for w in words)
+    for t, _, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
         rng = _rng(p["seed"], "lemma-new", t)
         functionals = [w.functional for w in witnesses[:3]]
-        conjugators = [
-            _random_stabilizer_conjugator(rng, ring, n, functionals)
-            for _ in range(p["conjugators"])
-        ]
-        for w in witnesses:
-            for q in conjugators:
-                try:
-                    result = conjugate_by_stabilizer(w, q, ctx)
-                except Exception as exc:  # noqa: BLE001 - reported, not raised
-                    _fail(failures, f"{label} ; q={format_matrix(q)}",
-                          "closed under conjugation", repr(exc))
-                    continue
-                if any(vec_dot(ring, result.functional, u) != ring.zero
-                       for u in ctx.projected_images):
-                    _fail(failures, f"{label} ; q={format_matrix(q)}",
-                          "functional annihilates images", format_matrix(result.matrix))
-        if t == 0 and witnesses and conjugators:
-            sample = conjugate_by_stabilizer(witnesses[0], conjugators[0], ctx)
-            kept.append({"witness": format_matrix(witnesses[0].matrix),
-                         "conjugator": format_matrix(conjugators[0]),
-                         "conjugate": format_matrix(sample.matrix)})
+        for _ in range(p["conjugators"]):
+            q = _random_stabilizer_conjugator(rng, ring, n, functionals)
+            try:
+                prepared = PreparedConjugator(ctx, q)
+                results = [conjugate_by_stabilizer(w, prepared, ctx) for w in witnesses]
+            except (ValueError, IdentityViolation) as exc:
+                _fail(failures, f"{label} ; q={format_matrix(q)}",
+                      "closed under conjugation", repr(exc))
+                continue
+            if t == 0 and not kept and results:
+                kept.append({"witness": format_matrix(witnesses[0].matrix),
+                             "conjugator": format_matrix(q),
+                             "conjugate": format_matrix(results[0].matrix)})
     return {"trials": p["trials"], "failures": failures, "samples": kept}
 
 

@@ -12,7 +12,9 @@ Three constructions, all emitted through fail-fast verification:
   vector.
 
 Verification is mandatory on emission, never sampled: a witness that
-fails its defining identity raises ``IdentityViolation``.
+fails its defining identity raises ``IdentityViolation``.  Each conjugator
+is checked once, where it enters (``StabilizerContext``,
+``PreparedConjugator``), and each witness once, where it is emitted.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import IdentityViolation
+from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
 from .matrix import Matrix, assemble_block, outer_product, unit_vector, vec_dot, vec_neg
 from .normal_forms import (
@@ -34,12 +36,12 @@ from .rings import Ring
 
 
 class StabilizerContext:
-    """A tuple of conjugating matrices with their cached first-column data.
+    """A tuple of conjugating matrices with their first-column images.
 
-    The identity conjugator is implicit: the constraint vectors are the
-    first standard basis vector followed by the first columns of the
-    conjugators.  Conjugators must be invertible and, when a form is
-    attached, must preserve it.
+    The identity conjugator is implicit: the constraint vectors are e1
+    followed by the first columns of the conjugators.  Each conjugator is
+    checked once, here (ring, size, form, unit determinant); streams over
+    the context check only the identity of each witness they emit.
     """
 
     def __init__(self, ring: Ring, size: int, conjugators=(), form: BilinearForm | None = None):
@@ -56,23 +58,14 @@ class StabilizerContext:
                 raise ValueError("conjugator size mismatch")
             if form is not None and not preserves_form(g, form):
                 raise ValueError("conjugator does not preserve the form")
-        self.inverses = tuple(g.inverse() for g in self.conjugators)  # validates det
+            d = g.det()
+            if ring.unit_inverse(d) is None:
+                raise NotInvertibleError(ring.format(d))
         self.first_column_images = tuple(g.column(0) for g in self.conjugators)
-
-    @property
-    def e1(self) -> tuple:
-        return unit_vector(self.ring, self.size, 0)
-
-    @property
-    def constraint_vectors(self) -> tuple:
-        """e1 (the implicit identity conjugator) followed by the images."""
-        return (self.e1,) + self.first_column_images
-
-    @property
-    def projected_images(self) -> tuple:
-        """The images with their first coordinate dropped (the part a
-        first-row shear must annihilate)."""
-        return tuple(img[1:] for img in self.first_column_images)
+        # e1 (the implicit identity conjugator) followed by the images
+        self.constraint_vectors = (unit_vector(ring, size, 0),) + self.first_column_images
+        # the images without their first coordinate, which a shear must annihilate
+        self.projected_images = tuple(img[1:] for img in self.first_column_images)
 
 
 @dataclass(frozen=True)
@@ -83,11 +76,40 @@ class ShearWitness:
     matrix: Matrix
 
 
+class PreparedConjugator:
+    """A stabilizer element q = (1, x; 0, A) checked once against a context:
+    matching ring and size, fixing e1 and every image, unit determinant
+    (``ValueError`` otherwise).  Keeps the columns of the lower block A.
+    """
+
+    __slots__ = ("context", "matrix", "lower_columns")
+
+    def __init__(self, ctx: StabilizerContext, q: Matrix):
+        if q.rows != ctx.size or q.cols != ctx.size or q.ring != ctx.ring:
+            raise ValueError("conjugator does not match the context")
+        if not stabilizer_check(q):
+            raise ValueError("conjugator is not a stabilizer element (first column != e1)")
+        if ctx.ring.unit_inverse(q.det()) is None:
+            raise ValueError("conjugator is not invertible")
+        for img in ctx.first_column_images:
+            if q.apply(img) != img:
+                raise ValueError("conjugator does not fix the conjugated images")
+        self.context = ctx
+        self.matrix = q
+        self.lower_columns = tuple(zip(*(row[1:] for row in q.entries[1:])))
+
+
 def stabilizer_check(m: Matrix) -> bool:
     """Whether M fixes the first standard basis vector (first column e1)."""
     if not m.is_square():
         raise ValueError("stabilizer check needs a square matrix")
     return m.column(0) == unit_vector(m.ring, m.rows, 0)
+
+
+def _shear(ring: Ring, n: int, functional: tuple) -> ShearWitness:
+    # entries already canonical: checked, or results of ring operations
+    rows = Matrix.identity(ring, n).entries[1:]
+    return ShearWitness(functional, Matrix._raw(ring, ((ring.one,) + functional,) + rows))
 
 
 def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
@@ -99,63 +121,48 @@ def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
         raise ValueError(f"functional length {len(functional)} != {n - 1}")
     for c in functional:
         ring.check(c)
-    grid = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    for j, c in enumerate(functional):
-        grid[0][j + 1] = c
-    matrix = Matrix(ring, grid)
-    if not stabilizer_check(matrix):
-        raise IdentityViolation("shear does not fix e1")
-    return ShearWitness(functional, matrix)
+    return _shear(ring, n, functional)
 
 
 def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[ShearWitness]:
     """Shears lying in the stabilizer of e1 and in every conjugated copy.
 
     Functionals come from the annihilator of the projected images; each
-    shear is verified via g^-1 * T * g * e1 == e1 for every conjugator
-    before it is yielded.  The stream is infinite over an infinite ring
-    whenever the number of conjugators is at most size - 2.
+    shear T is verified to fix e1 and every image g e1 before it is
+    yielded (for invertible g, T g e1 == g e1 is g^-1 * T * g * e1 == e1).
+    The stream is infinite over an infinite ring whenever the number of
+    conjugators is at most size - 2.
     """
     ring = ctx.ring
     n = ctx.size
-    e1 = ctx.e1
     for functional in annihilating_functionals(ring, n - 1, ctx.projected_images, count):
         witness = build_shear(ring, n, functional)
-        for g, g_inv in zip(ctx.conjugators, ctx.inverses):
-            moved = g_inv.apply(witness.matrix.apply(g.column(0)))
-            if moved != e1:
+        for image in ctx.constraint_vectors:
+            if witness.matrix.apply(image) != image:
                 raise IdentityViolation("shear escaped a conjugated stabilizer")
         yield witness
 
 
 def conjugate_by_stabilizer(
-    witness: ShearWitness, q: Matrix, ctx: StabilizerContext
+    witness: ShearWitness, q: PreparedConjugator | Matrix, ctx: StabilizerContext
 ) -> ShearWitness:
     """Conjugate a shear by a stabilizer element q = (1, x; 0, A).
 
+    q is prepared for ctx, or a bare ``Matrix`` that is prepared first.
     The result is the shear with functional f*A; the exact identity
     q * result == witness * q is asserted (equivalent to result being the
     conjugate q^-1 * witness * q, q being invertible), as is f*A
     annihilating every projected image.  A failed assertion means a
     broken identity, never a bad input.
     """
+    if isinstance(q, Matrix):
+        q = PreparedConjugator(ctx, q)
+    elif q.context is not ctx:
+        raise ValueError("conjugator was prepared for another context")
     ring = ctx.ring
-    n = ctx.size
-    if q.rows != n or q.cols != n or q.ring != ring:
-        raise ValueError("conjugator does not match the context")
-    if not stabilizer_check(q):
-        raise ValueError("conjugator is not a stabilizer element (first column != e1)")
-    if ring.unit_inverse(q.det()) is None:
-        raise ValueError("conjugator is not invertible")
-    for img in ctx.first_column_images:
-        if q.apply(img) != img:
-            raise ValueError("conjugator does not fix the conjugated images")
-    lower = Matrix(ring, [row[1:] for row in q.entries[1:]])
-    functional = tuple(
-        vec_dot(ring, witness.functional, lower.column(j)) for j in range(n - 1)
-    )
-    result = build_shear(ring, n, functional)
-    if q @ result.matrix != witness.matrix @ q:
+    functional = tuple(vec_dot(ring, witness.functional, col) for col in q.lower_columns)
+    result = _shear(ring, ctx.size, functional)
+    if q.matrix @ result.matrix != witness.matrix @ q.matrix:
         raise IdentityViolation("conjugated shear failed q * T' == T * q")
     for u in ctx.projected_images:
         if vec_dot(ring, functional, u) != ring.zero:

@@ -1,6 +1,9 @@
 import json
 
-from rigidlin import Integers, parse_matrix, in_row_span
+import pytest
+
+import rigidlin.witnesses
+from rigidlin import Integers, Matrix, ShearWitness, parse_matrix, in_row_span
 from rigidlin.cli import main
 
 Z = Integers()
@@ -38,6 +41,42 @@ def test_verify_unsupported_ring_exit_two(capsys):
     code, _, err = run_cli(capsys, "verify", "snf-oracle", "--ring", "Z/6")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemma-ke", "--trials", "-3"),
+    ("lemma-new", "--trials", "-2"),
+    ("lemma-new", "--param", "conjugators=-1"),
+    ("lemma-ke", "--count", "0"),
+    ("lemma-ke", "--param", "param_bound=0"),
+    ("lemma-new", "--param", "word_length=0"),
+], ids=["ke-trials", "new-trials", "new-conjugators", "ke-count", "ke-param-bound",
+        "new-word-length"])
+def test_verify_rejects_non_positive_parameters(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert "must be at least 1" in err and "pass" not in out
+
+
+def _shear_not_fixing_e1(ring, n, functional):
+    return ShearWitness(tuple(functional), Matrix.zeros(ring, n, n))
+
+
+def test_identity_violation_in_suite_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    code, out, _ = run_cli(capsys, "verify", "lemma-ke", "--trials", "2", "--count", "3")
+    assert code == 1
+    assert "fail" in out
+
+
+def test_identity_violation_escaping_a_command_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    code, out, err = run_cli(capsys, "witness", "--group", "en", "--n", "3",
+                             "--conjugators", "e(2,1,1)", "--count", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_kernel_emits_json(capsys):

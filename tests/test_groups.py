@@ -10,7 +10,6 @@ from rigidlin import (
     WordToken,
     elementary_matrix,
     embed_stabilize,
-    evaluate_word,
     form_matrix,
     format_word,
     parse_matrix,
@@ -143,18 +142,18 @@ def test_generator_parameter_additivity():
 
 def test_empty_word_is_identity():
     word = GeneratorWord(Z, "en", 3, ())
-    assert evaluate_word(word) == Matrix.identity(Z, 3)
+    assert word.evaluate() == Matrix.identity(Z, 3)
 
 
 def test_word_evaluation_example():
     word = parse_word(Z, "en", 2, "e(1,2,1);e(2,1,-1)")
-    assert evaluate_word(word) == parse_matrix(Z, "0,1;-1,1")
+    assert word.evaluate() == parse_matrix(Z, "0,1;-1,1")
 
 
 def test_word_inverse_token():
     word = parse_word(Z, "en", 2, "e(1,2,1)^-1")
-    assert evaluate_word(word) == elementary_matrix(Z, 2, 1, 2, -1)
-    assert (evaluate_word(word) @ elementary_matrix(Z, 2, 1, 2, 1)).is_identity()
+    assert word.evaluate() == elementary_matrix(Z, 2, 1, 2, -1)
+    assert (word.evaluate() @ elementary_matrix(Z, 2, 1, 2, 1)).is_identity()
 
 
 def test_word_roundtrip_and_validation():
@@ -175,7 +174,7 @@ def test_elementary_words_have_determinant_one():
     for _ in range(50):
         n = rng.randint(2, 4)
         word = random_elementary_word(rng, Z, n, rng.randint(1, 8))
-        assert evaluate_word(word).det() == 1
+        assert word.evaluate().det() == 1
 
 
 def test_word_times_reversed_inverted_is_identity():
@@ -186,7 +185,7 @@ def test_word_times_reversed_inverted_is_identity():
             word = random_elementary_word(rng, Z, rng.randint(2, 4), rng.randint(1, 8))
         else:
             word = random_unitary_word(rng, Z, kind, rng.choice((2, 3)), rng.randint(1, 8))
-        assert (evaluate_word(word) @ evaluate_word(word.inverse())).is_identity()
+        assert (word.evaluate() @ word.inverse().evaluate()).is_identity()
 
 
 def test_unitary_words_preserve_their_form():
@@ -196,7 +195,7 @@ def test_unitary_words_preserve_their_form():
         n = rng.choice((2, 3))
         form = form_matrix(Z, n, "symplectic" if kind == "esp" else "orthogonal")
         word = random_unitary_word(rng, Z, kind, n, rng.randint(1, 6))
-        assert preserves_form(evaluate_word(word), form)
+        assert preserves_form(word.evaluate(), form)
 
 
 # -- stabilization embedding --------------------------------------------------
@@ -215,7 +214,7 @@ def test_embed_preserves_symplectic_form():
     bigger_form = form_matrix(Z, 3, "symplectic")
     for _ in range(25):
         word = random_unitary_word(rng, Z, "esp", 2, rng.randint(1, 6))
-        assert preserves_form(embed_stabilize(evaluate_word(word)), bigger_form)
+        assert preserves_form(embed_stabilize(word.evaluate()), bigger_form)
     with pytest.raises(ValueError):
         embed_stabilize(parse_matrix(Z, "1,0,0;0,1,0;0,0,1"))
 

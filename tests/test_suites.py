@@ -1,11 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
+import rigidlin.suites
+import rigidlin.witnesses
 from rigidlin import (
     Integers,
     IntegerPolynomials,
+    Matrix,
     Modular,
+    ShearWitness,
     StabilizerContext,
     UnsupportedRingError,
     parse_matrix,
@@ -72,6 +77,63 @@ def test_determinism_byte_identical():
         assert first.canonical_json() == second.canonical_json()
 
 
+# SHA-256 of canonical_json, recorded before the witness hot path was
+# reworked: conjugator checks once per conjugator, identities once per emission
+PINNED_REPORTS = {
+    ("lemma-ke", "Z"): "1e87fe32421a4a407ddea2739a17ed5edca3ef5f953ce7f2482f3a7cb3b44052",
+    ("lemma-new", "Z"): "9613a27414e313e4846fb5dc97567ada765f7d527d3a102864cfabcc2419479b",
+    ("lemma-ke", "Fp[x]/5"): "7f82c9e9201d8278c2ed3c6f0a75ac5310b93298e24a1b1f58ecdab2491594aa",
+    ("lemma-new", "Fp[x]/5"): "ce8da62f001e9166386da0c939aada6b4275e30504f822b2f3bd5968301dba26",
+    ("lemma-ke", "Z/7"): "2230c7689077609d0ca2798d9da0b5d8947ba06e34c1357a77a1dc3a6248d65a",
+    ("lemma-new", "Z/7"): "91298649b8bf283d9a4922d98de715c3c5c794b6b819241421440149ea456521",
+}
+PINNED_PARAMS = {
+    "lemma-ke": {"n": 4, "trials": 3, "need": 6, "seed": 3},
+    "lemma-new": {"n": 4, "trials": 2, "need": 5, "conjugators": 3, "seed": 3},
+}
+
+
+@pytest.mark.parametrize("suite, ring_text", sorted(PINNED_REPORTS))
+def test_stabilizer_reports_match_pinned_digest(suite, ring_text):
+    report = run_suite(suite, ring_from_text(ring_text), dict(PINNED_PARAMS[suite]))
+    assert report.verdict == "pass"
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == PINNED_REPORTS[suite, ring_text]
+
+
+def _shear_not_fixing_e1(ring, n, functional):
+    return ShearWitness(tuple(functional), Matrix.zeros(ring, n, n))
+
+
+@pytest.mark.parametrize("suite", ["lemma-ke", "lemma-new"])
+def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
+    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    report = run_suite(suite, Z, {"n": 3, "trials": 2, "need": 4, "conjugators": 2, "seed": 1})
+    assert report.verdict == "fail"
+    assert len(report.failures) == 2  # one per trial
+    assert all("IdentityViolation" in f["got"] for f in report.failures)
+    assert report.samples == []
+
+
+def test_broken_conjugate_is_a_reported_failure(monkeypatch):
+    real = rigidlin.suites.conjugate_by_stabilizer
+
+    def conjugate_with_wrong_functional(witness, q, ctx):
+        # the functional no longer matches the shear, so q * T' != T * q
+        shifted = tuple(c + 1 for c in witness.functional)
+        return real(ShearWitness(shifted, witness.matrix), q, ctx)
+
+    monkeypatch.setattr(rigidlin.suites, "conjugate_by_stabilizer",
+                        conjugate_with_wrong_functional)
+    report = run_suite("lemma-new", Z,
+                       {"n": 3, "trials": 2, "need": 4, "conjugators": 3, "seed": 1})
+    assert report.verdict == "fail"
+    assert len(report.failures) == 6  # one per conjugator and trial
+    assert all(f["expected"] == "closed under conjugation" for f in report.failures)
+    assert all("q * T' == T * q" in f["got"] for f in report.failures)
+    assert report.samples == []
+
+
 def test_different_seeds_change_sampled_content():
     a = run_suite("lemma-ke", Z, {"n": 3, "trials": 2, "need": 5, "seed": 1})
     b = run_suite("lemma-ke", Z, {"n": 3, "trials": 2, "need": 5, "seed": 2})
@@ -79,20 +141,20 @@ def test_different_seeds_change_sampled_content():
 
 
 def test_lemma_ke_samples_reverify():
-    from rigidlin import evaluate_word, parse_word, parse_matrix as pm
+    from rigidlin import parse_word, parse_matrix as pm
 
     report = run_suite("lemma-ke", Z, {"n": 3, "trials": 2, "need": 8, "seed": 5})
     assert report.verdict == "pass"
     sample = report.samples[0]
     conjugators = tuple(
-        evaluate_word(parse_word(Z, "en", 3, text)) for text in sample["conjugators"]
+        parse_word(Z, "en", 3, text).evaluate() for text in sample["conjugators"]
     )
     ctx = StabilizerContext(Z, 3, conjugators)
     e1 = unit_vector(Z, 3, 0)
     for text in sample["witnesses"]:
         witness = pm(Z, text)
-        for g, g_inv in zip(ctx.conjugators, ctx.inverses):
-            assert g_inv.apply(witness.apply(g.apply(e1))) == e1
+        for g in ctx.conjugators:
+            assert g.inverse().apply(witness.apply(g.apply(e1))) == e1
 
 
 def test_snf_samples_reverify():

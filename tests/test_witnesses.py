@@ -8,6 +8,8 @@ from rigidlin import (
     Integers,
     Matrix,
     Modular,
+    NotInvertibleError,
+    PreparedConjugator,
     StabilizerContext,
     assemble_block,
     block_unipotent_witnesses,
@@ -15,7 +17,6 @@ from rigidlin import (
     complement_module,
     conjugate_by_stabilizer,
     elementary_matrix,
-    evaluate_word,
     form_matrix,
     in_row_span,
     intersection_witnesses,
@@ -29,7 +30,11 @@ from rigidlin import (
     unit_vector,
     unitary_generator,
 )
-from rigidlin.suites import random_elementary_word, random_unitary_word
+from rigidlin.suites import (
+    _random_stabilizer_conjugator,
+    random_elementary_word,
+    random_unitary_word,
+)
 
 Z = Integers()
 
@@ -61,7 +66,7 @@ def test_intersection_witnesses_pinned_example():
         elementary_matrix(Z, 3, 1, 3, c) for c in (1, -1, 2, -2)
     ]
     g = ctx.conjugators[0]
-    g_inv = ctx.inverses[0]
+    g_inv = g.inverse()
     e1 = unit_vector(Z, 3, 0)
     for w in found:
         assert g_inv.apply(w.matrix.apply(g.apply(e1))) == e1
@@ -77,13 +82,13 @@ def test_intersection_witnesses_finite_ring():
     m5 = Modular(5)
     rng = random.Random(73)
     word = random_elementary_word(rng, m5, 3, 4)
-    ctx = StabilizerContext(m5, 3, (evaluate_word(word),))
+    ctx = StabilizerContext(m5, 3, (word.evaluate(),))
     found = list(intersection_witnesses(ctx, 10_000))
     assert 0 < len(found) < 25  # finite stream, exhausted
     e1 = unit_vector(m5, 3, 0)
     for w in found:
-        for g, g_inv in zip(ctx.conjugators, ctx.inverses):
-            assert g_inv.apply(w.matrix.apply(g.apply(e1))) == e1
+        for g in ctx.conjugators:
+            assert g.inverse().apply(w.matrix.apply(g.apply(e1))) == e1
 
 
 def test_conjugate_by_identity_and_row_shears():
@@ -130,6 +135,46 @@ def test_conjugate_rejects_non_stabilizer():
     with pytest.raises(ValueError):
         bad = parse_matrix(Z, "1,0,0;0,2,0;0,0,1")  # determinant 2
         conjugate_by_stabilizer(witness, bad, ctx)
+
+
+def test_prepared_conjugator_rejects_bad_input():
+    # one conjugator moving e1 to the image (1, 1, 0)
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    cases = (
+        (Matrix.identity(Z, 4), "does not match the context"),  # wrong size
+        (elementary_matrix(Z, 3, 2, 1, 1), "not a stabilizer element"),
+        (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "not invertible"),  # det 2, fixes the image
+        (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix"),  # det 1, moves the image
+    )
+    witness = next(iter(intersection_witnesses(ctx, 1)))
+    for q, message in cases:
+        with pytest.raises(ValueError, match=message):
+            PreparedConjugator(ctx, q)
+        with pytest.raises(ValueError, match=message):
+            conjugate_by_stabilizer(witness, q, ctx)
+    # a conjugator prepared for one context is refused by another
+    other = StabilizerContext(Z, 3, ())
+    prepared = PreparedConjugator(other, Matrix.identity(Z, 3))
+    with pytest.raises(ValueError, match="another context"):
+        conjugate_by_stabilizer(witness, prepared, ctx)
+
+
+def test_prepared_conjugator_matches_bare_matrix():
+    rng = random.Random(89)
+    for ring in (Z, Modular(7)):
+        for n in (3, 4, 5):
+            word = random_elementary_word(rng, ring, n, 4)
+            ctx = StabilizerContext(ring, n, (word.evaluate(),))
+            witnesses = list(itertools.islice(intersection_witnesses(ctx, 6), 6))
+            functionals = [w.functional for w in witnesses[:3]]
+            for _ in range(4):
+                q = _random_stabilizer_conjugator(rng, ring, n, functionals)
+                prepared = PreparedConjugator(ctx, q)
+                assert prepared.matrix is q
+                for w in witnesses:
+                    bare = conjugate_by_stabilizer(w, q, ctx)
+                    assert conjugate_by_stabilizer(w, prepared, ctx) == bare
+                    assert bare.matrix == q.inverse() @ w.matrix @ q
 
 
 def test_complement_module_examples():
@@ -189,8 +234,8 @@ def test_transvection_preserves_form_and_equivariance():
             tau = transvection(form, u, v)
             assert preserves_form(tau, form)
             word = random_unitary_word(rng, Z, word_kind, 2, rng.randint(1, 4))
-            g = evaluate_word(word)
-            g_inv = evaluate_word(word.inverse())
+            g = word.evaluate()
+            g_inv = word.inverse().evaluate()
             assert g @ tau @ g_inv == transvection(form, g.apply(u), g.apply(v))
 
 
@@ -230,7 +275,7 @@ def test_block_witness_word_realization():
         block = parse_matrix(Z, a_text)
         expected = assemble_block(Matrix.identity(Z, 2), block,
                                   Matrix.zeros(Z, 2, 2), Matrix.identity(Z, 2))
-        assert evaluate_word(word) == expected
+        assert word.evaluate() == expected
 
 
 def test_block_witnesses_symplectic_pinned():
@@ -324,7 +369,7 @@ def test_orthogonal_row_generators_commute():
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotInvertibleError):
         StabilizerContext(Z, 3, (parse_matrix(Z, "2,0,0;0,1,0;0,0,1"),))  # det 2
     sym = form_matrix(Z, 2, "symplectic")
     with pytest.raises(ValueError):
