@@ -7,7 +7,8 @@ the ``e(i,j,r);rl(i,a);rs(i,j,a)`` token grammar, rings the descriptors
 
 Exit codes: 0 when the requested check passes, 1 when a suite reports a
 failure or a verified identity fails, 2 on usage errors (bad literals,
-unsupported rings, unknown suites, out-of-range parameters).
+unsupported rings, unknown suites, parameters a suite does not take or
+that are out of range, enumerations above their cap).
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ through the ring object that owns it:
 
 * ``Z``       -- arbitrary-precision integers (``int``)
 * ``Z/m``     -- residues stored as ``int`` in ``[0, m)``
-* ``Fp[x]/p`` -- polynomials over the prime field: low-to-high coefficient
-  tuples with no trailing zeros, ``()`` is the zero polynomial
-* ``Z[x]``    -- integer polynomials, same tuple convention
+* ``Fp[x]/p`` -- polynomials over ``Z/p``: low-to-high coefficient tuples
+  with no trailing zeros, ``()`` is the zero polynomial
+* ``Z[x]``    -- polynomials over ``Z``, same tuple convention.  Both
+  polynomial rings compute on whole coefficient lists with ``int``
+  arithmetic, reducing each result mod p once over ``Z/p``
 * ``Zi``      -- Gaussian integers as ``(re, im)`` pairs
 
 Canonical values make equality, hashing and printing unambiguous, which
@@ -403,50 +405,46 @@ _POLY_BARE_TERM = re.compile(r"^([+-]?)x(?:\^(\d+))?$")
 
 
 class _PolynomialRing(Ring):
-    """Common machinery for polynomial rings in one variable.
-
-    Subclasses provide coefficient arithmetic (plain integers, or integers
-    mod p) and the coefficient enumeration used by the graded element order.
-    """
+    """Polynomials in one variable over the coefficient ring ``Z`` or ``Z/p``,
+    which checks the coefficients and orders them in the enumeration."""
 
     is_finite = False
     zero = ()
+    one = (1,)
 
-    def _cadd(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _cmul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def _cneg(self, a: int) -> int:
-        raise NotImplementedError
-
-    def _cvalid(self, c: int) -> bool:
-        raise NotImplementedError
-
-    def _cparse(self, value: int) -> int:
-        raise NotImplementedError
-
-    # number of coefficient values, or None when infinite
-    _coeff_count: int | None = None
-
-    def _coeff_by_rank(self, upto: int) -> list[int]:
-        raise NotImplementedError
+    def __init__(self, coefficients: Ring):
+        self.coefficients = coefficients
+        self._modulus = coefficients.cardinality  # p over Z/p; None over Z
 
     def contains(self, a) -> bool:
         return (
             isinstance(a, tuple)
-            and all(isinstance(c, int) and not isinstance(c, bool) and self._cvalid(c) for c in a)
+            and all(map(self.coefficients.contains, a))
             and (not a or a[-1] != 0)
         )
 
     def add(self, a, b):
-        n = max(len(a), len(b))
-        out = []
-        for i in range(n):
-            x = a[i] if i < len(a) else 0
-            y = b[i] if i < len(b) else 0
-            out.append(self._cadd(x, y))
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        if self._modulus:
+            p = self._modulus
+            out = [(x + y) % p for x, y in zip(a, b)]
+        else:
+            out = [x + y for x, y in zip(a, b)]
+        if len(a) > len(b):
+            return (*out, *a[len(b):])  # the longer operand's leading term survives
+        return _strip(out)
+
+    def sub(self, a, b):
+        if not b:
+            return a
+        if self._modulus:
+            p = self._modulus
+            out = [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        else:
+            out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
         return _strip(out)
 
     def mul(self, a, b):
@@ -454,24 +452,31 @@ class _PolynomialRing(Ring):
             return ()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = self._cadd(out[i + j], self._cmul(x, y))
-        return _strip(out)
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        if self._modulus:
+            p = self._modulus
+            for k, c in enumerate(out):
+                out[k] = c % p
+        return tuple(out)  # both rings are domains: the leading term survives
 
     def neg(self, a):
-        return tuple(self._cneg(c) for c in a)
+        if self._modulus:
+            p = self._modulus
+            return tuple(-c % p for c in a)
+        return tuple(-c for c in a)
 
     def elements(self):
         yield ()
+        count = self.coefficients.cardinality
         grade = 1
         while True:
             for degree in range(grade):
                 height = grade - degree
-                if self._coeff_count is not None and height > self._coeff_count - 1:
+                if count is not None and height >= count:
                     continue
-                pool = self._coeff_by_rank(height + 1)
+                pool = self.coefficients.take(height + 1)
                 for ranks in itertools.product(range(height + 1), repeat=degree + 1):
                     if ranks[-1] == 0 or max(ranks) != height:
                         continue
@@ -482,7 +487,7 @@ class _PolynomialRing(Ring):
         s = "".join(text.split())
         if not s:
             raise ParseError("empty polynomial literal")
-        coeffs: dict[int, int] = {}
+        out: list[int] = []
         for term in _split_signed_terms(s):
             m = _POLY_COEFF_TERM.match(term)
             if m:
@@ -494,10 +499,10 @@ class _PolynomialRing(Ring):
                     raise ParseError(f"malformed polynomial literal: {text!r}")
                 coeff = -1 if m.group(1) == "-" else 1
                 degree = int(m.group(2) or 1)
-            coeffs[degree] = coeffs.get(degree, 0) + coeff
-        out = [0] * (max(coeffs) + 1)
-        for degree, coeff in coeffs.items():
-            out[degree] = self._cparse(coeff)
+            out.extend([0] * (degree + 1 - len(out)))
+            out[degree] += coeff
+        if self._modulus:
+            out = [c % self._modulus for c in out]
         return _strip(out)
 
     def format(self, a) -> str:
@@ -535,37 +540,13 @@ class IntegerPolynomials(_PolynomialRing):
     kind = "integer-polynomials"
     is_domain = True
     is_euclidean = False
-    one = (1,)
+
+    def __init__(self):
+        super().__init__(Integers())
 
     @property
     def descriptor(self) -> str:
         return "Z[x]"
-
-    def _cadd(self, a, b):
-        return a + b
-
-    def _cmul(self, a, b):
-        return a * b
-
-    def _cneg(self, a):
-        return -a
-
-    def _cvalid(self, c):
-        return True
-
-    def _cparse(self, value):
-        return value
-
-    _coeff_count = None
-
-    def _coeff_by_rank(self, upto: int) -> list[int]:
-        out = [0]
-        k = 1
-        while len(out) < upto:
-            out.append(k)
-            out.append(-k)
-            k += 1
-        return out[:upto]
 
     def unit_inverse(self, a):
         return a if a in ((1,), (-1,)) else None
@@ -606,31 +587,12 @@ class PrimeFieldPolynomials(_PolynomialRing):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
+        super().__init__(Modular(p))
         self.p = p
-        self.one = (1,)
-        self._coeff_count = p
 
     @property
     def descriptor(self) -> str:
         return f"Fp[x]/{self.p}"
-
-    def _cadd(self, a, b):
-        return (a + b) % self.p
-
-    def _cmul(self, a, b):
-        return (a * b) % self.p
-
-    def _cneg(self, a):
-        return (-a) % self.p
-
-    def _cvalid(self, c):
-        return 0 <= c < self.p
-
-    def _cparse(self, value):
-        return value % self.p
-
-    def _coeff_by_rank(self, upto: int) -> list[int]:
-        return list(range(min(upto, self.p)))
 
     def unit_inverse(self, a):
         if len(a) != 1:

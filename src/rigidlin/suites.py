@@ -262,11 +262,20 @@ def _suite_kernel_oracle(ring: Ring, p: dict) -> dict:
     return {"trials": p["trials"], "failures": failures, "samples": kept}
 
 
+# Largest m**3 the finite branch of rigidity-empirical accepts: each trial
+# enumerates all of (Z/m)^cols, with cols up to 3.
+RIGIDITY_ENUMERATION_CAP = 8000
+
+
 def _suite_rigidity(ring: Ring, p: dict) -> dict:
     failures: list = []
     kept = []
     if ring.is_finite:
         m = ring.cardinality
+        if m ** 3 > RIGIDITY_ENUMERATION_CAP:
+            raise ValueError(
+                f"rigidity-empirical over {ring.descriptor} would enumerate up to {m ** 3} vectors "
+                f"per trial; the cap is {RIGIDITY_ENUMERATION_CAP}")
         trials = p["finite_trials"]
         for t in range(trials):
             rng = _rng(p["seed"], "rigidity-finite", t)
@@ -325,6 +334,8 @@ def _stabilizer_trials(ring: Ring, p: dict, failures: list):
     intersection and conjugation suites (same seed => same witnesses).  A
     witness failing its identity is recorded and ends its trial."""
     n = p["n"]
+    if n < 3:
+        raise ValueError(f"the stabilizer suites need n >= 3, got {n}")
     for t in range(p["trials"]):
         rng = _rng(p["seed"], "lemma-ke", t)
         words = [random_elementary_word(rng, ring, n, rng.randint(1, p["word_length"]),
@@ -340,9 +351,6 @@ def _stabilizer_trials(ring: Ring, p: dict, failures: list):
 
 
 def _suite_intersection(ring: Ring, p: dict) -> dict:
-    n = p["n"]
-    if n < 3:
-        raise ValueError("the intersection suite needs n >= 3")
     _require_positive(p, "trials", "need", "word_length", "param_bound")
     failures: list = []
     kept = []
@@ -357,7 +365,7 @@ def _suite_intersection(ring: Ring, p: dict) -> dict:
             kept.append({"conjugators": [format_word(w) for w in words],
                          "witnesses": [format_matrix(w.matrix) for w in witnesses[:3]]})
     return {"trials": p["trials"], "failures": failures, "samples": kept,
-            "extra": {"conjugators_per_trial": n - 2}}
+            "extra": {"conjugators_per_trial": p["n"] - 2}}
 
 
 def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
@@ -743,6 +751,10 @@ def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessR
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     resolved = dict(_DEFAULTS[suite_id])
     resolved["seed"] = 0
+    unknown = sorted(set(params or {}) - set(resolved))
+    if unknown:
+        raise ValueError(f"{suite_id} takes no parameter {', '.join(unknown)}; "
+                         f"it takes {', '.join(sorted(resolved))}")
     resolved.update(params or {})
     start = time.perf_counter()
     outcome = _RUNNERS[suite_id](ring, resolved)

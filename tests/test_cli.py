@@ -58,6 +58,22 @@ def test_verify_rejects_non_positive_parameters(capsys, argv):
     assert "must be at least 1" in err and "pass" not in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lemma-new", "--param", "nedd=3"), "takes no parameter nedd"),
+    (("lemma-ke", "--param", "nedd=5"), "takes no parameter nedd"),
+    (("ring-axioms", "--n", "7"), "takes no parameter n;"),
+    (("abelian-s", "--trials", "3"), "takes no parameter trials"),
+    (("lemma-new", "--n", "2"), "need n >= 3"),
+    (("lemma-new", "--n", "1"), "need n >= 3"),
+    (("rigidity-empirical", "--ring", "Z/400", "--param", "finite_trials=1"), "the cap is"),
+], ids=["new-unknown", "ke-unknown", "axioms-n", "abelian-trials", "new-n2", "new-n1",
+        "rigidity-cap"])
+def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err and "pass" not in out
+
+
 def _shear_not_fixing_e1(ring, n, functional):
     return ShearWitness(tuple(functional), Matrix.zeros(ring, n, n))
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -184,6 +185,74 @@ def test_enumeration_distinct(ring):
         seen.add(element)
     if ring.is_finite:
         assert len(seen) == ring.cardinality
+
+
+# SHA-256 of repr(take(500)), recorded before polynomial arithmetic moved to
+# whole coefficient lists
+PINNED_ENUMERATIONS = {
+    "Fp[x]/2": "0836e6ebb0910a987db8aa54cc607327168fd81a86f018606160b5acb5125f69",
+    "Fp[x]/5": "bfc04c5f34f2d9c827300704bceae089295a38266b917532f9c8f425119ab20c",
+    "Z[x]": "e1f7bcc898a6e4aa085a07abd17c2da1b6f71c62e3c221b6547229a9dec91d78",
+}
+
+
+@pytest.mark.parametrize("text", sorted(PINNED_ENUMERATIONS))
+def test_polynomial_enumeration_matches_pinned_digest(text):
+    digest = hashlib.sha256(repr(ring_from_text(text).take(500)).encode()).hexdigest()
+    assert digest == PINNED_ENUMERATIONS[text]
+
+
+def _operand_pairs(rng, ring):
+    """Pairs at every degree 0-40, with the zero polynomial, and pairs whose
+    sum or difference cancels the top coefficients (the result is stripped)."""
+    p = getattr(ring, "p", None)
+
+    def coeff(nonzero=False):
+        if p:
+            return rng.randrange(1 if nonzero else 0, p)
+        c = rng.randint(-10**30, 10**30)
+        return c if c or not nonzero else 1
+
+    def poly(degree):
+        return tuple(coeff() for _ in range(degree)) + (coeff(nonzero=True),)
+
+    def cancelling(a, sign):
+        # agrees with sign*a above a random degree, random below it
+        keep = rng.randrange(len(a))
+        top = [(sign * c) % p if p else sign * c for c in a[keep:]]
+        return tuple(coeff() for _ in range(keep)) + tuple(top)
+
+    pairs = [((), ()), ((), poly(3)), (poly(0), ())]
+    for degree in range(41):
+        a = poly(degree)
+        pairs += [(a, poly(degree)), (a, poly(rng.randrange(41))),
+                  (a, cancelling(a, -1)), (a, cancelling(a, 1)), (a, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("ring", [PrimeFieldPolynomials(p) for p in (2, 3, 5, 7)]
+                         + [IntegerPolynomials()], ids=ring_id)
+def test_polynomial_arithmetic_matches_sympy(ring):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = getattr(ring, "p", None)
+    domain = sympy.GF(p, symmetric=False) if p else sympy.ZZ
+
+    def to_sympy(a):
+        return sympy.Poly(list(reversed(a)) or [0], x, domain=domain)
+
+    def from_sympy(f):
+        coeffs = [int(c) % p if p else int(c) for c in reversed(f.all_coeffs())]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    for a, b in _operand_pairs(random.Random(f"sympy:{ring.descriptor}"), ring):
+        fa, fb = to_sympy(a), to_sympy(b)
+        assert ring.add(a, b) == from_sympy(fa + fb)
+        assert ring.sub(a, b) == from_sympy(fa - fb)
+        assert ring.mul(a, b) == from_sympy(fa * fb)
+        assert ring.neg(a) == from_sympy(-fa)
 
 
 def test_non_euclidean_rings_reject_division():

@@ -59,6 +59,13 @@ def test_rigidity_finite_ring_flag():
     assert all("kernel_size" in s for s in report.samples)
 
 
+def test_rigidity_enumeration_cap():
+    # Z/20 enumerates at most 20**3 vectors per trial, at the cap; Z/21 is refused
+    assert run_suite("rigidity-empirical", Modular(20), {"finite_trials": 1}).verdict == "pass"
+    with pytest.raises(ValueError, match="the cap is"):
+        run_suite("rigidity-empirical", Modular(21), {"finite_trials": 1})
+
+
 def test_rigidity_infinite_ring():
     report = run_suite("rigidity-empirical", Z, {"seed": 2, "trials": 15, "need": 20})
     assert report.verdict == "pass"
@@ -87,18 +94,44 @@ PINNED_REPORTS = {
     ("lemma-ke", "Z/7"): "2230c7689077609d0ca2798d9da0b5d8947ba06e34c1357a77a1dc3a6248d65a",
     ("lemma-new", "Z/7"): "91298649b8bf283d9a4922d98de715c3c5c794b6b819241421440149ea456521",
 }
+# The same, recorded before polynomial arithmetic moved to whole coefficient
+# lists.  transvections and t-a-witnesses take kernels, which Z[x] lacks.
+PINNED_POLYNOMIAL_REPORTS = {
+    ("ring-axioms", "Fp[x]/5"): "61dfba5b4641b0d533bf31987b735cb5084ce8d0baca917bda94ce2c63f7e3c4",
+    ("ring-axioms", "Z[x]"): "e7ce92f9ef817b20ffe28106e0b0b81d3aa8d923d55af21ad0bd297e5de24b5d",
+    ("rigidity-empirical", "Fp[x]/5"): "bbd53e2c4c08bc64f4c2bc4e3f4a171b1838b9f84e2cf9b5a648fef834def7e5",
+    ("rigidity-empirical", "Z[x]"): "5eb0b1a16e33058648b0a6e84793cc8c1c35a1744c47a6bd422a36430724be19",
+    ("forms-generators", "Fp[x]/5"): "64b85d54aa29e18973c362fa3d128ada2e7cf14a4e095756cea4979be7bf340d",
+    ("forms-generators", "Z[x]"): "41371b8b6b726646d7ed4d0945808ce57fe4396ce99d1ea9bcda7758a3f784e9",
+    ("transvections", "Fp[x]/5"): "4bc8141bf468dfa659e4b66948b422bf91c91f40538382cc529af8ce82ab16d2",
+    ("t-a-witnesses", "Fp[x]/5"): "1ef63afe0f67232dcfca6d7c3f01f2c530f531d6378fef6f3ee43171c8e98de4",
+}
 PINNED_PARAMS = {
     "lemma-ke": {"n": 4, "trials": 3, "need": 6, "seed": 3},
     "lemma-new": {"n": 4, "trials": 2, "need": 5, "conjugators": 3, "seed": 3},
+    "ring-axioms": {"samples": 200, "seed": 3},
+    "rigidity-empirical": {"trials": 10, "need": 10, "seed": 3},
+    "forms-generators": {"ns": [2], "words": 10, "seed": 3},
+    "transvections": {"ns": [2], "trials": 6, "seed": 3},
+    "t-a-witnesses": {"configs": [["symplectic", 2]], "trials": 2, "need": 6, "word_length": 3,
+                      "seed": 3},
 }
+
+
+def _report_digest(suite, ring_text):
+    report = run_suite(suite, ring_from_text(ring_text), dict(PINNED_PARAMS[suite]))
+    assert report.verdict == "pass"
+    return hashlib.sha256(report.canonical_json().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("suite, ring_text", sorted(PINNED_REPORTS))
 def test_stabilizer_reports_match_pinned_digest(suite, ring_text):
-    report = run_suite(suite, ring_from_text(ring_text), dict(PINNED_PARAMS[suite]))
-    assert report.verdict == "pass"
-    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
-    assert digest == PINNED_REPORTS[suite, ring_text]
+    assert _report_digest(suite, ring_text) == PINNED_REPORTS[suite, ring_text]
+
+
+@pytest.mark.parametrize("suite, ring_text", sorted(PINNED_POLYNOMIAL_REPORTS))
+def test_polynomial_ring_reports_match_pinned_digest(suite, ring_text):
+    assert _report_digest(suite, ring_text) == PINNED_POLYNOMIAL_REPORTS[suite, ring_text]
 
 
 def _shear_not_fixing_e1(ring, n, functional):
@@ -108,7 +141,10 @@ def _shear_not_fixing_e1(ring, n, functional):
 @pytest.mark.parametrize("suite", ["lemma-ke", "lemma-new"])
 def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
     monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
-    report = run_suite(suite, Z, {"n": 3, "trials": 2, "need": 4, "conjugators": 2, "seed": 1})
+    params = {"n": 3, "trials": 2, "need": 4, "seed": 1}
+    if suite == "lemma-new":
+        params["conjugators"] = 2
+    report = run_suite(suite, Z, params)
     assert report.verdict == "fail"
     assert len(report.failures) == 2  # one per trial
     assert all("IdentityViolation" in f["got"] for f in report.failures)
