@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="generic integer parameter override (repeatable)",
+        help="parameter override with a JSON value, e.g. trials=5 or ns=[2,4] (repeatable)",
     )
     _add_common(verify)
 
@@ -114,7 +114,10 @@ def _cmd_verify(args) -> int:
         key, _, value = item.partition("=")
         if not key or not value:
             raise ParseError(f"bad --param {item!r}, expected KEY=VALUE")
-        params[key] = int(value)
+        try:
+            params[key] = json.loads(value)
+        except json.JSONDecodeError:
+            raise ParseError(f"bad --param {item!r}, the value is not a JSON literal") from None
     report = run_suite(args.suite, ring, params)
     human = (
         f"suite {report.suite} over {report.ring}: {report.verdict} "

@@ -169,31 +169,9 @@ class Matrix:
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
         ring = self.ring
-        if isinstance(ring, Modular):
-            lifted = Matrix._raw(Integers(), self.entries)
-            return lifted.det() % ring.modulus
-        if not ring.is_domain:
-            raise ValueError(f"determinant not supported over {ring.descriptor}")
-        n = self.rows
-        m = [list(row) for row in self.entries]
-        z = ring.zero
-        sign = 1
-        prev = ring.one
-        for k in range(n - 1):
-            pivot_row = next((i for i in range(k, n) if m[i][k] != z), None)
-            if pivot_row is None:
-                return z
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = ring.sub(ring.mul(m[i][j], m[k][k]), ring.mul(m[i][k], m[k][j]))
-                    m[i][j] = ring.exact_div(num, prev)
-                m[i][k] = z
-            prev = m[k][k]
-        result = m[n - 1][n - 1]
-        return ring.neg(result) if sign < 0 else result
+        work = _elimination_ring(ring)
+        _, det = _bareiss(work, [list(row) for row in self.entries], gauss_jordan=False)
+        return det if work is ring else det % ring.modulus
 
     def det_cofactor(self):
         """Independent determinant oracle by first-row cofactor expansion."""
@@ -212,31 +190,81 @@ class Matrix:
         return acc
 
     def inverse(self) -> "Matrix":
-        """Inverse via the adjugate and the unit inverse of the determinant."""
+        """Inverse by one fraction-free Gauss-Jordan pass on ``[A | I]``.
+
+        The pass leaves ``[d*I | d*A^-1]`` with d its last pivot (the
+        determinant up to sign), so the right block times the unit inverse
+        of d is the inverse.  Residue rings are lifted to the integers as
+        in ``det``.
+        """
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
         ring = self.ring
-        d = self.det()
+        work = _elimination_ring(ring)
+        n = self.rows
+        z, o = work.zero, work.one
+        m = [list(row) + [o if i == j else z for j in range(n)]
+             for i, row in enumerate(self.entries)]
+        d, det = _bareiss(work, m, gauss_jordan=True)
+        if work is not ring:
+            d, det = d % ring.modulus, det % ring.modulus
         d_inv = ring.unit_inverse(d)
         if d_inv is None:
-            raise NotInvertibleError(ring.format(d))
-        n = self.rows
-        if n == 1:
-            inv = Matrix._raw(ring, ((d_inv,),))
-        else:
-            grid = []
-            for i in range(n):
-                out = []
-                for j in range(n):
-                    minor = self.submatrix(j, i).det()  # adjugate: transposed cofactors
-                    if (i + j) % 2:
-                        minor = ring.neg(minor)
-                    out.append(ring.mul(d_inv, minor))
-                grid.append(tuple(out))
-            inv = Matrix._raw(ring, tuple(grid))
+            raise NotInvertibleError(ring.format(det))
+        mul = ring.mul  # over Z/m, mul also reduces the lifted entries
+        inv = Matrix._raw(ring, tuple(tuple(mul(d_inv, x) for x in row[n:]) for row in m))
         if not (inv @ self).is_identity():
-            raise ArithmeticError("adjugate inverse failed its recheck")
+            raise ArithmeticError("Gauss-Jordan inverse failed its recheck")
         return inv
+
+
+def _elimination_ring(ring: Ring) -> Ring:
+    """The ring elimination runs in: Z for Z/m, else the ring itself."""
+    if isinstance(ring, Modular):
+        return Integers()
+    if not ring.is_domain:
+        raise ValueError(f"determinant not supported over {ring.descriptor}")
+    return ring
+
+
+def _bareiss(ring: Ring, m: list, gauss_jordan: bool) -> tuple:
+    """Fraction-free elimination (Bareiss 1968) of the rows ``m`` in place,
+    pivoting in the leading square block; return ``(d, det)``.
+
+    Each step updates the rows below the pivot, or with ``gauss_jordan``
+    every other row, which leaves the block as ``d*I``.  d is the last
+    pivot and det the block's determinant, ``-d`` after an odd number of
+    row swaps; both are zero for a singular block.
+    """
+    n = len(m)
+    width = len(m[0])
+    z = ring.zero
+    sub, mul, exact_div = ring.sub, ring.mul, ring.exact_div
+    sign = 1
+    prev = ring.one
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != z), None)
+        if pivot_row is None:
+            return z, z
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        mk = m[k]
+        pivot = mk[k]
+        for i in range(0 if gauss_jordan else k + 1, n):
+            if i == k:
+                continue
+            mi = m[i]
+            a = mi[k]
+            if a == z:  # the m[i][k] * m[k][j] terms vanish
+                for j in range(k + 1, width):
+                    mi[j] = exact_div(mul(mi[j], pivot), prev)
+            else:
+                for j in range(k + 1, width):
+                    mi[j] = exact_div(sub(mul(mi[j], pivot), mul(a, mk[j])), prev)
+                mi[k] = z
+        prev = pivot
+    return prev, (prev if sign > 0 else ring.neg(prev))
 
 
 def assemble_block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:

@@ -39,10 +39,10 @@ class KernelModule:
 # -- row operations on (matrix, transform) pairs ----------------------------
 
 def _row_axpy(ring: Ring, rows: list, target: int, source: int, q):
-    """rows[target] -= q * rows[source]"""
-    sub, mul = ring.sub, ring.mul
-    src = rows[source]
-    rows[target] = [sub(x, mul(q, y)) for x, y in zip(rows[target], src)]
+    """rows[target] -= q * rows[source]; entries facing a zero stay as they are"""
+    sub, mul, z = ring.sub, ring.mul, ring.zero
+    rows[target] = [x if y == z else sub(x, mul(q, y))
+                    for x, y in zip(rows[target], rows[source])]
 
 
 def _row_scale(ring: Ring, rows: list, target: int, u):
@@ -125,10 +125,10 @@ def _snf_core(ring: Ring, a_rows: list) -> tuple[list, list, list]:
     def col_axpy(target: int, source: int, q):
         # column_target -= q * column_source, applied to d and v
         sub, mul = ring.sub, ring.mul
-        for row in d:
-            row[target] = sub(row[target], mul(q, row[source]))
-        for row in v:
-            row[target] = sub(row[target], mul(q, row[source]))
+        for row in itertools.chain(d, v):
+            y = row[source]
+            if y != z:
+                row[target] = sub(row[target], mul(q, y))
 
     def col_swap(i: int, j: int):
         for row in d:

@@ -166,6 +166,9 @@ class Integers(Ring):
     def add(self, a, b):
         return a + b
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 
@@ -231,6 +234,9 @@ class Modular(Ring):
     def add(self, a, b):
         return (a + b) % self.modulus
 
+    def sub(self, a, b):
+        return (a - b) % self.modulus
+
     def mul(self, a, b):
         return (a * b) % self.modulus
 
@@ -291,6 +297,9 @@ class GaussianIntegers(Ring):
 
     def add(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
+
+    def sub(self, a, b):
+        return (a[0] - b[0], a[1] - b[1])
 
     def mul(self, a, b):
         return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])

@@ -43,7 +43,7 @@ from .normal_forms import (
     smith_normal_form,
     solution_stream,
 )
-from .rings import Integers, IntegerPolynomials, Ring
+from .rings import Integers, IntegerPolynomials, Modular, Ring
 from .witnesses import (
     PreparedConjugator,
     StabilizerContext,
@@ -556,7 +556,16 @@ def _combine(rng: random.Random, ring: Ring, vectors: list, size: int) -> tuple:
     return out
 
 
+def _require_kernels(ring: Ring, suite: str):
+    """Refuse, before any trial, a ring on which a suite could reach
+    ``kernel_basis``: whether a trial does depends on its draws."""
+    if not (ring.is_euclidean or isinstance(ring, Modular)):
+        raise UnsupportedRingError(f"{suite} needs kernels: "
+                                   f"no kernel computation over {ring.descriptor}")
+
+
 def _suite_transvections(ring: Ring, p: dict) -> dict:
+    _require_kernels(ring, "transvections")
     failures: list = []
     kept = []
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
@@ -613,6 +622,7 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
 
 
 def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
+    _require_kernels(ring, "t-a-witnesses")
     failures: list = []
     kept = []
     need = p["need"]
@@ -751,11 +761,17 @@ def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessR
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
     resolved = dict(_DEFAULTS[suite_id])
     resolved["seed"] = 0
-    unknown = sorted(set(params or {}) - set(resolved))
+    params = params or {}
+    unknown = sorted(set(params) - set(resolved))
     if unknown:
         raise ValueError(f"{suite_id} takes no parameter {', '.join(unknown)}; "
                          f"it takes {', '.join(sorted(resolved))}")
-    resolved.update(params or {})
+    for key, value in params.items():
+        expected = type(resolved[key])
+        if type(value) is not expected:
+            raise ValueError(f"{suite_id} parameter {key} must be {expected.__name__}, "
+                             f"got {value!r}")
+    resolved.update(params)
     start = time.perf_counter()
     outcome = _RUNNERS[suite_id](ring, resolved)
     elapsed = (time.perf_counter() - start) * 1000.0

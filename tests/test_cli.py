@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,12 +70,48 @@ def test_verify_rejects_non_positive_parameters(capsys, argv):
     (("lemma-new", "--n", "2"), "need n >= 3"),
     (("lemma-new", "--n", "1"), "need n >= 3"),
     (("rigidity-empirical", "--ring", "Z/400", "--param", "finite_trials=1"), "the cap is"),
+    (("abelian-s", "--param", "ns=2"), "ns must be list, got 2"),
+    (("lemma-ke", "--param", "n=true"), "n must be int, got True"),
+    (("lemma-ke", "--param", "trials=2.5"), "trials must be int, got 2.5"),
+    (("lemma-ke", "--param", "trials=two"), "not a JSON literal"),
+    (("transvections", "--ring", "Z[x]", "--trials", "1", "--seed", "2"),
+     "no kernel computation over Z[x]"),
+    (("transvections", "--ring", "Z[x]", "--trials", "1", "--seed", "6"),
+     "no kernel computation over Z[x]"),
 ], ids=["new-unknown", "ke-unknown", "axioms-n", "abelian-trials", "new-n2", "new-n1",
-        "rigidity-cap"])
+        "rigidity-cap", "int-for-list", "bool-for-int", "float-for-int", "not-json",
+        "kernelless-seed-2", "kernelless-seed-6"])
 def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert message in err and "pass" not in out
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("abelian-s", "--param", "ns=[2]"), "ns", [2]),
+    (("transvections", "--trials", "2", "--param", "ns=[2, 4]"), "ns", [2, 4]),
+    (("t-a-witnesses", "--trials", "1", "--count", "3",
+      "--param", 'configs=[["symplectic", 2]]'), "configs", [["symplectic", 2]]),
+    (("lemma-ke", "--trials", "2", "--count", "3", "--param", "word_length=4"),
+     "word_length", 4),
+], ids=["abelian-ns", "transvections-ns", "t-a-configs", "integer"])
+def test_verify_takes_json_parameter_values(capsys, argv, key, value):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "pass" and payload["params"][key] == value
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(rigidlin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run(
+        [sys.executable, "-m", "rigidlin", "verify", "abelian-s", "--param", "ns=[2]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "suite abelian-s over Z: pass" in run.stdout
 
 
 def _shear_not_fixing_e1(ring, n, functional):

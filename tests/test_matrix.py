@@ -15,6 +15,7 @@ from rigidlin import (
     elementary_matrix,
     format_matrix,
     parse_matrix,
+    ring_from_text,
     unit_vector,
 )
 
@@ -145,6 +146,86 @@ def test_inverse_of_random_unimodular_products():
                 j = rng.randrange(1, n + 1)
             acc = acc @ elementary_matrix(Z, n, i, j, rng.randint(-3, 3))
         assert (acc.inverse() @ acc).is_identity()
+
+
+INVERSE_RINGS = ["Z", "Z/6", "Z/7", "Z/9", "Zi", "Fp[x]/5", "Z[x]"]
+
+
+def adjugate_inverse(a):
+    """Independent oracle: the adjugate from cofactor determinants, times the
+    unit inverse of the determinant; None when the determinant is no unit."""
+    ring, n = a.ring, a.rows
+    d = a.det_cofactor()
+    d_inv = ring.unit_inverse(d)
+    if d_inv is None:
+        return None
+    if n == 1:
+        return Matrix(ring, [[d_inv]])
+    grid = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = a.submatrix(j, i).det_cofactor()
+            row.append(ring.mul(d_inv, ring.neg(minor) if (i + j) % 2 else minor))
+        grid.append(row)
+    return Matrix(ring, grid)
+
+
+def random_unimodular(rng, ring, n, pool, steps):
+    acc = Matrix.identity(ring, n)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(1, n + 1), 2)
+        acc = acc @ elementary_matrix(ring, n, i, j, rng.choice(pool))
+    return acc
+
+
+@pytest.mark.parametrize("ring_text", INVERSE_RINGS)
+def test_inverse_matches_adjugate_oracle(ring_text):
+    ring = ring_from_text(ring_text)
+    rng = random.Random(f"inverse-oracle:{ring_text}")
+    pool = ring.take(7)
+    seen = set()
+    for t in range(60):
+        n = rng.randint(1, 4)
+        if t % 3 == 0:
+            # a unimodular matrix with rows swapped, so that pivoting swaps them back
+            a = random_unimodular(rng, ring, n, pool, 6)
+            a = Matrix(a.ring, a.entries[::-1])
+        elif t % 3 == 1 and n > 1:
+            # singular: a repeated row
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n - 1)]
+            a = Matrix(ring, rows + [rows[0]])
+        else:
+            a = random_matrix(rng, ring, n, n, pool)
+        expected = adjugate_inverse(a)
+        if expected is None:
+            with pytest.raises(NotInvertibleError) as err:
+                a.inverse()
+            d = a.det_cofactor()
+            assert str(err.value) == (
+                f"matrix is not invertible: determinant {ring.format(d)} is not a unit")
+            seen.add("singular" if d == ring.zero else "non-unit")
+        else:
+            assert a.inverse() == expected
+            seen.add("invertible")
+    # over the field Z/7 every nonzero determinant is a unit
+    assert seen == {"invertible", "singular"} | ({"non-unit"} if ring_text != "Z/7" else set())
+
+
+def test_inverse_does_not_expand_determinants(monkeypatch):
+    rng = random.Random(12)
+    a = random_unimodular(rng, Z, 12, [-2, -1, 1, 2, 3], 60)
+    calls = []
+    real_det = Matrix.det
+
+    def counting_det(self):
+        calls.append(self.rows)
+        return real_det(self)
+
+    monkeypatch.setattr(Matrix, "det", counting_det)
+    inv = a.inverse()
+    assert len(calls) <= 1
+    assert (inv @ a).is_identity() and (a @ inv).is_identity()
 
 
 def test_assemble_block():

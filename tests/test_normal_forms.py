@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -17,7 +18,10 @@ from rigidlin import (
     in_row_span,
     kernel_basis,
     parse_matrix,
+    format_matrix,
+    format_vector,
     principal_kernel_family,
+    ring_from_text,
     smith_normal_form,
     solution_stream,
 )
@@ -334,3 +338,52 @@ def test_gaussian_kernel_stream():
     assert len(set(found)) == 25
     for v in found:
         assert a.apply(v) == (zi.zero,)
+
+
+# -- pinned outputs ----------------------------------------------------------
+
+# SHA-256 of the determinants, Hermite forms, Smith forms and kernel bases of
+# seeded matrices with many zero entries, recorded before elimination began
+# skipping the products of zero entries; the skips must change no output.
+PINNED_NORMAL_FORMS = {
+    ("det", "Z"): "50881ff5488ad9207cceb27d4acfdcadb3194a3c3e3509329e0332f5cc94f282",
+    ("hnf", "Z"): "07a42d7ac96e656e86979ed98f06ff4f774c6033471769fa47b1ca8d4cfce7a5",
+    ("snf", "Z"): "51dce2871c279a5b86be13f6557b53f78a59513b9a5c3a47e606b0dce8a62780",
+    ("kernel", "Z"): "b802af9fb60f15a7bb4898f2b26f0c6b2adf9507dbcb54f2432c42193b3817b3",
+    ("det", "Zi"): "5e66c734098968de4f2c749a1eb329912832ea78c10b3ef228c246ec7b168b3d",
+    ("hnf", "Zi"): "6fe1bf209e80d2f1bcbe08ff520e2eba4e50c323d496fdeef2391f24be0d5cf1",
+    ("snf", "Zi"): "0e18a46eb7ec7092156c6e334d168ae518720ca904c83d94c734a5316b07911b",
+    ("kernel", "Zi"): "17340d3fa215ef2c380b25eabe471ea8cb801064e7278d89d5dbee751cf59e3d",
+    ("det", "Fp[x]/5"): "40b361afa1f7ea78f6202c1e70a93c97dc3482d6e9b8e0061cf3e884843108fc",
+    ("hnf", "Fp[x]/5"): "cdb0ac5148c554767842973a64b87fd7e528a1f435e99b56d212e8fae98add93",
+    ("snf", "Fp[x]/5"): "a9a5fc6d731186b7e3135c39346e6130a9575acfb3f426a04cb416223b8f1617",
+    ("kernel", "Fp[x]/5"): "d9a70b7acff24ec0ea2d5c984b2ccd4abe64a1a67d0199f2391480212f6adbe6",
+    ("det", "Z/6"): "8e5b141819409c0fb624db803f3168ecd11c794242f993b4d52106b785a58bd4",
+    ("hnf", "Z/6"): "d1c57fb37faf242d7c9507731a6971b0d066343406c60e405896b6c27ba26e75",
+    ("snf", "Z/6"): "d40264e50ed236dc3dc42bda5231b5ee74576f2c4f3f14ae8975bb5512fdd6d8",
+    ("kernel", "Z/6"): "66e8983d6860accebc5f7b79ecc508a9a47fc72d9c341cdf492d097788388276",
+}
+
+
+def normal_form_digests(ring_text):
+    ring = ring_from_text(ring_text)
+    rng = random.Random(f"normal-form-pins:{ring_text}")
+    pool = ring.take(7) + [ring.zero] * 4
+    shapes = [(3, 3), (4, 4), (5, 5), (3, 5), (5, 3), (4, 6), (6, 6), (8, 8), (7, 10)]
+    out = {"det": [], "hnf": [], "snf": [], "kernel": []}
+    for rows, cols in shapes:
+        a = Matrix(ring, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
+        if rows == cols:
+            out["det"].append(ring.format(a.det()))
+        out["hnf"].extend(format_matrix(m) for m in hermite_normal_form(a))
+        out["snf"].extend(format_matrix(m) for m in smith_normal_form(a))
+        out["kernel"].extend(format_vector(ring, v) for v in kernel_basis(a).basis)
+        out["kernel"].append("|")
+    return {k: hashlib.sha256("\n".join(v).encode()).hexdigest() for k, v in out.items()}
+
+
+@pytest.mark.parametrize("ring_text", ["Z", "Zi", "Fp[x]/5", "Z/6"])
+def test_normal_forms_match_pinned_digest(ring_text):
+    digests = normal_form_digests(ring_text)
+    for kind, digest in digests.items():
+        assert digest == PINNED_NORMAL_FORMS[kind, ring_text], kind

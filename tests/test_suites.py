@@ -170,6 +170,31 @@ def test_broken_conjugate_is_a_reported_failure(monkeypatch):
     assert report.samples == []
 
 
+@pytest.mark.parametrize("suite, params", [
+    ("abelian-s", {"ns": 2}),
+    ("abelian-s", {"ns": (2, 3)}),
+    ("lemma-ke", {"n": True}),
+    ("lemma-ke", {"trials": 2.0}),
+    ("t-a-witnesses", {"configs": "symplectic"}),
+    ("ring-axioms", {"seed": "1"}),
+], ids=["int-for-list", "tuple-for-list", "bool-for-int", "float-for-int", "str-for-list",
+        "str-seed"])
+def test_parameters_must_have_their_default_type(suite, params):
+    with pytest.raises(ValueError, match="must be"):
+        run_suite(suite, Z, params)
+
+
+@pytest.mark.parametrize("suite", ["transvections", "t-a-witnesses"])
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_kernel_suites_refuse_kernelless_rings_before_any_trial(monkeypatch, suite, seed):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
+    with pytest.raises(UnsupportedRingError, match="no kernel computation over Z\\[x\\]"):
+        run_suite(suite, IntegerPolynomials(), {"trials": 1, "seed": seed})
+
+
 def test_different_seeds_change_sampled_content():
     a = run_suite("lemma-ke", Z, {"n": 3, "trials": 2, "need": 5, "seed": 1})
     b = run_suite("lemma-ke", Z, {"n": 3, "trials": 2, "need": 5, "seed": 2})
