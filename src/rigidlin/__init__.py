@@ -64,7 +64,6 @@ from .witnesses import (
     intersection_witnesses,
     stabilizer_check,
     transvection,
-    transvection_fixes_constraints,
     transvection_short,
 )
 from .suites import SUITE_IDS, WitnessReport, run_suite
@@ -119,7 +118,6 @@ __all__ = [
     "solution_stream",
     "stabilizer_check",
     "transvection",
-    "transvection_fixes_constraints",
     "transvection_short",
     "unit_vector",
     "unitary_generator",

@@ -109,10 +109,6 @@ class Matrix:
         neg = self.ring.neg
         return Matrix._raw(self.ring, tuple(tuple(neg(x) for x in row) for row in self.entries))
 
-    def scale(self, c) -> "Matrix":
-        mul = self.ring.mul
-        return Matrix._raw(self.ring, tuple(tuple(mul(c, x) for x in row) for row in self.entries))
-
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.ring, tuple(zip(*self.entries)))
 
@@ -302,16 +298,8 @@ def unit_vector(ring: Ring, n: int, index: int) -> tuple:
     return tuple(ring.one if i == index else ring.zero for i in range(n))
 
 
-def zero_vector(ring: Ring, n: int) -> tuple:
-    return tuple(ring.zero for _ in range(n))
-
-
 def vec_add(ring: Ring, u: tuple, v: tuple) -> tuple:
     return tuple(ring.add(x, y) for x, y in zip(u, v))
-
-
-def vec_sub(ring: Ring, u: tuple, v: tuple) -> tuple:
-    return tuple(ring.sub(x, y) for x, y in zip(u, v))
 
 
 def vec_scale(ring: Ring, c, u: tuple) -> tuple:

@@ -51,21 +51,7 @@ from .witnesses import (
     conjugate_by_stabilizer,
     intersection_witnesses,
     transvection,
-    transvection_fixes_constraints,
     transvection_short,
-)
-
-SUITE_IDS = (
-    "ring-axioms",
-    "snf-oracle",
-    "kernel-oracle",
-    "rigidity-empirical",
-    "lemma-ke",
-    "lemma-new",
-    "forms-generators",
-    "transvections",
-    "t-a-witnesses",
-    "abelian-s",
 )
 
 
@@ -247,10 +233,11 @@ def _suite_kernel_oracle(ring: Ring, p: dict) -> dict:
         rows, cols = rng.randint(1, 2), rng.randint(1, 3)
         a = _int_matrix(rng, ring, rows, cols, 4)
         label = format_matrix(a)
-        kernel = kernel_basis(a)
-        for vec in kernel.basis:
-            if not vec_is_zero(ring, a.apply(vec)):
-                _fail(failures, label, "A v == 0", format_vector(ring, vec))
+        try:
+            kernel = kernel_basis(a)
+        except IdentityViolation as exc:
+            _fail(failures, label, "A v == 0", repr(exc))
+            continue
         grid = a.entries
         for point in itertools.product(range(-box, box + 1), repeat=cols):
             if all(sum(r * x for r, x in zip(row, point)) == 0 for row in grid):
@@ -306,14 +293,13 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
         rng = _rng(p["seed"], "rigidity-infinite", t)
         a, b = rng.choice(pool), rng.choice(pool)
         label = f"({ring.format(a)}, {ring.format(b)})"
-        if use_family:
-            found = list(principal_kernel_family(ring, a, b, need))
-        else:
-            found = list(solution_stream(Matrix(ring, [[a, b]]), need))
-        bad = [v for v in found
-               if ring.add(ring.mul(a, v[0]), ring.mul(b, v[1])) != ring.zero]
-        if bad:
-            _fail(failures, label, "kernel membership", format_vector(ring, bad[0]))
+        stream = (principal_kernel_family(ring, a, b, need) if use_family
+                  else solution_stream(Matrix(ring, [[a, b]]), need))
+        try:
+            found = list(stream)
+        except IdentityViolation as exc:
+            _fail(failures, label, "kernel membership", repr(exc))
+            continue
         if len(set(found)) < need:
             _fail(failures, label, f">= {need} distinct kernel elements", str(len(set(found))))
         if t < 2:
@@ -321,12 +307,6 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
                          "kernel_sample": [format_vector(ring, v) for v in found[:3]]})
     return {"trials": trials, "failures": failures, "samples": kept,
             "extra": {"finite_ring": False}}
-
-
-def _require_positive(p: dict, *keys):
-    for key in keys:
-        if p[key] < 1:
-            raise ValueError(f"{key} must be at least 1, got {p[key]}")
 
 
 def _stabilizer_trials(ring: Ring, p: dict, failures: list):
@@ -351,7 +331,6 @@ def _stabilizer_trials(ring: Ring, p: dict, failures: list):
 
 
 def _suite_intersection(ring: Ring, p: dict) -> dict:
-    _require_positive(p, "trials", "need", "word_length", "param_bound")
     failures: list = []
     kept = []
     need = p["need"]
@@ -405,7 +384,6 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
 
 def _suite_conjugation(ring: Ring, p: dict) -> dict:
     n = p["n"]
-    _require_positive(p, "trials", "need", "word_length", "param_bound", "conjugators")
     failures: list = []
     kept = []
     for t, _, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
@@ -590,29 +568,30 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
             u = _combine(rng, ring, pool, 2 * n)
             v = _combine(rng, ring, pool, 2 * n)
             r = rng.choice(_small_params(ring))
-            tau = transvection(form, u, v)
-            if not preserves_form(tau, form):
-                _fail(failures, label, "form preservation", format_matrix(tau))
-            short = transvection_short(form, v, r)
+            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4))
+            u2 = _combine(rng, ring, pool, 2 * n)
+            v2 = _combine(rng, ring, pool, 2 * n)
+            g = g_word.evaluate()
+            # every transvection checks its own form preservation
+            try:
+                tau = transvection(form, u, v)
+                short = transvection_short(form, v, r)
+                rhs = transvection(form, g.apply(u), g.apply(v))
+                center = transvection(form, u2, v2)
+                center_inv = transvection(form, u2, tuple(ring.neg(c) for c in v2))
+            except IdentityViolation as exc:
+                _fail(failures, label, "form preservation", repr(exc))
+                continue
             if kind == "orthogonal" and not short.is_identity():
                 _fail(failures, label, "identity on the orthogonal side", format_matrix(short))
-            try:
-                transvection_fixes_constraints(ctx, u, v, r)
-            except Exception as exc:  # noqa: BLE001
-                _fail(failures, label, "fixes constraint vectors", repr(exc))
+            moved = [w for w in ctx.constraint_vectors if tau.apply(w) != w or short.apply(w) != w]
+            if moved:
+                _fail(failures, label, "fixes constraint vectors", format_vector(ring, moved[0]))
             # conjugation equivariance under a random form-preserving word
-            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4))
-            g = g_word.evaluate()
-            g_inv = g_word.inverse().evaluate()
-            lhs = g @ tau @ g_inv
-            rhs = transvection(form, g.apply(u), g.apply(v))
+            lhs = g @ tau @ g_word.inverse().evaluate()
             if lhs != rhs:
                 _fail(failures, label, "g tau g^-1 == tau(gu, gv)", format_matrix(lhs))
             # pairs fixed by a transvection commute with it exactly
-            u2 = _combine(rng, ring, pool, 2 * n)
-            v2 = _combine(rng, ring, pool, 2 * n)
-            center = transvection(form, u2, v2)
-            center_inv = transvection(form, u2, tuple(ring.neg(c) for c in v2))
             if center @ tau @ center_inv != tau:
                 _fail(failures, label, "central conjugate equals tau", format_matrix(tau))
             if t == 0:
@@ -637,17 +616,15 @@ def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
             g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, p["word_length"]))
             g = g_word.evaluate()
             label = f"{kind} n={n} g={format_word(g_word)}"
-            found = list(itertools.islice(block_unipotent_witnesses(ctx, g, need), need))
+            try:
+                found = list(itertools.islice(block_unipotent_witnesses(ctx, g, need), need))
+            except IdentityViolation as exc:
+                _fail(failures, label, "fixes g e1 and preserves the form", repr(exc))
+                continue
             if not ring.is_finite and len(found) < need:
                 _fail(failures, label, f"{need} block witnesses", str(len(found)))
             if len(set(found)) != len(found):
                 _fail(failures, label, "pairwise distinct", str(len(set(found))))
-            image = g.column(0)
-            for w in found:
-                if w.apply(image) != image or not preserves_form(w, form):
-                    _fail(failures, label, "fixes g e1 and preserves the form",
-                          format_matrix(w))
-                    break
             if t == 0 and found:
                 kept.append({"g": format_word(g_word), "witness": format_matrix(found[0])})
     return {"trials": trials, "failures": failures, "samples": kept}
@@ -726,40 +703,58 @@ def _suite_abelian(ring: Ring, p: dict) -> dict:
     return {"trials": checks, "failures": failures, "samples": kept}
 
 
-_DEFAULTS = {
-    "ring-axioms": {"samples": 1000},
-    "snf-oracle": {"trials": 200},
-    "kernel-oracle": {"trials": 500, "box": 6},
-    "rigidity-empirical": {"trials": 200, "need": 50, "finite_trials": 40},
-    "lemma-ke": {"n": 3, "trials": 20, "need": 50, "word_length": 6, "param_bound": 3},
-    "lemma-new": {"n": 3, "trials": 20, "need": 50, "word_length": 6, "param_bound": 3,
-                  "conjugators": 10},
-    "forms-generators": {"ns": [2, 3], "words": 100},
-    "transvections": {"ns": [2, 4], "trials": 100},
-    "t-a-witnesses": {"configs": [["symplectic", 2], ["orthogonal", 4]],
-                      "trials": 20, "need": 50, "word_length": 6},
-    "abelian-s": {"ns": [2, 3, 4]},
+# Each suite's runner and default parameters; the defaults also fix which
+# parameters it takes and their types.
+_SUITES = {
+    "ring-axioms": (_suite_ring_axioms, {"samples": 1000}),
+    "snf-oracle": (_suite_snf_oracle, {"trials": 200}),
+    "kernel-oracle": (_suite_kernel_oracle, {"trials": 500, "box": 6}),
+    "rigidity-empirical": (_suite_rigidity, {"trials": 200, "need": 50, "finite_trials": 40}),
+    "lemma-ke": (_suite_intersection,
+                 {"n": 3, "trials": 20, "need": 50, "word_length": 6, "param_bound": 3}),
+    "lemma-new": (_suite_conjugation,
+                  {"n": 3, "trials": 20, "need": 50, "word_length": 6, "param_bound": 3,
+                   "conjugators": 10}),
+    "forms-generators": (_suite_forms_generators, {"ns": [2, 3], "words": 100}),
+    "transvections": (_suite_transvections, {"ns": [2, 4], "trials": 100}),
+    "t-a-witnesses": (_suite_block_witnesses,
+                      {"configs": [["symplectic", 2], ["orthogonal", 4]],
+                       "trials": 20, "need": 50, "word_length": 6}),
+    "abelian-s": (_suite_abelian, {"ns": [2, 3, 4]}),
 }
 
-_RUNNERS = {
-    "ring-axioms": _suite_ring_axioms,
-    "snf-oracle": _suite_snf_oracle,
-    "kernel-oracle": _suite_kernel_oracle,
-    "rigidity-empirical": _suite_rigidity,
-    "lemma-ke": _suite_intersection,
-    "lemma-new": _suite_conjugation,
-    "forms-generators": _suite_forms_generators,
-    "transvections": _suite_transvections,
-    "t-a-witnesses": _suite_block_witnesses,
-    "abelian-s": _suite_abelian,
-}
+SUITE_IDS = tuple(_SUITES)
+
+
+def _is_half_rank(value) -> bool:
+    # at 1 there is no short root, so root sampling would never end, and
+    # abelian-s would have no generators to check
+    return type(value) is int and value >= 2
+
+
+def _check_list(suite_id: str, key: str, value: list):
+    """Refuse an empty list (a vacuous pass) and malformed entries."""
+    if not value:
+        raise ValueError(f"{suite_id} parameter {key} must not be empty")
+    for entry in value:
+        if key == "configs":
+            ok = (type(entry) is list and len(entry) == 2
+                  and entry[0] in ("symplectic", "orthogonal") and _is_half_rank(entry[1]))
+            want = '[kind, half-rank], kind "symplectic" or "orthogonal", half-rank an int >= 2'
+        else:
+            ok = _is_half_rank(entry)
+            want = "an int >= 2"
+        if not ok:
+            raise ValueError(f"{suite_id} parameter {key}: each entry must be {want}, "
+                             f"got {entry!r}")
 
 
 def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessReport:
     """Run a verification suite; deterministic given params (seed included)."""
-    if suite_id not in _RUNNERS:
+    if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(SUITE_IDS)}")
-    resolved = dict(_DEFAULTS[suite_id])
+    runner, defaults = _SUITES[suite_id]
+    resolved = dict(defaults)
     resolved["seed"] = 0
     params = params or {}
     unknown = sorted(set(params) - set(resolved))
@@ -771,9 +766,13 @@ def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessR
         if type(value) is not expected:
             raise ValueError(f"{suite_id} parameter {key} must be {expected.__name__}, "
                              f"got {value!r}")
+        if expected is int and key != "seed" and value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
+        if expected is list:
+            _check_list(suite_id, key, value)
     resolved.update(params)
     start = time.perf_counter()
-    outcome = _RUNNERS[suite_id](ring, resolved)
+    outcome = runner(ring, resolved)
     elapsed = (time.perf_counter() - start) * 1000.0
     recorded = dict(resolved)
     recorded.update(outcome.get("extra", {}))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import rigidlin.suites
 import rigidlin.witnesses
 from rigidlin import Integers, Matrix, ShearWitness, parse_matrix, in_row_span
 from rigidlin.cli import main
@@ -47,6 +48,20 @@ def test_verify_unsupported_ring_exit_two(capsys):
     assert "error" in err
 
 
+def _refuse_trials(monkeypatch):
+    """Make any trial fail the test: a refusal must come before the first."""
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
+
+
+def _assert_refused(code, out, err, message):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("lemma-ke", "--trials", "-3"),
     ("lemma-new", "--trials", "-2"),
@@ -54,12 +69,44 @@ def test_verify_unsupported_ring_exit_two(capsys):
     ("lemma-ke", "--count", "0"),
     ("lemma-ke", "--param", "param_bound=0"),
     ("lemma-new", "--param", "word_length=0"),
+    ("snf-oracle", "--trials", "0"),
+    ("ring-axioms", "--param", "samples=0"),
+    ("t-a-witnesses", "--trials", "0"),
+    ("t-a-witnesses", "--count", "0"),
+    ("rigidity-empirical", "--count", "0"),
+    ("rigidity-empirical", "--ring", "Z/5", "--param", "finite_trials=-2"),
+    ("kernel-oracle", "--param", "box=0"),
+    ("transvections", "--trials", "0"),
+    ("forms-generators", "--param", "words=-1"),
 ], ids=["ke-trials", "new-trials", "new-conjugators", "ke-count", "ke-param-bound",
-        "new-word-length"])
-def test_verify_rejects_non_positive_parameters(capsys, argv):
+        "new-word-length", "snf-trials", "axioms-samples", "t-a-trials", "t-a-count",
+        "rigidity-count", "rigidity-finite-trials", "kernel-box", "transvections-trials",
+        "forms-words"])
+def test_verify_rejects_non_positive_parameters(capsys, monkeypatch, argv):
+    _refuse_trials(monkeypatch)
     code, out, err = run_cli(capsys, "verify", *argv)
-    assert code == 2
-    assert "must be at least 1" in err and "pass" not in out
+    _assert_refused(code, out, err, "must be at least 1")
+
+
+# the three half-rank-1 cases never ended before they were refused
+@pytest.mark.parametrize("argv, message", [
+    (("forms-generators", "--param", "ns=[1]"), "must be an int >= 2, got 1"),
+    (("transvections", "--param", "ns=[1]"), "must be an int >= 2, got 1"),
+    (("t-a-witnesses", "--param", 'configs=[["symplectic", 1]]'), "got ['symplectic', 1]"),
+    (("t-a-witnesses", "--param", 'configs=[["unitary", 2]]'), "got ['unitary', 2]"),
+    (("abelian-s", "--param", "ns=[1]"), "must be an int >= 2, got 1"),
+    (("abelian-s", "--param", "ns=[true]"), "must be an int >= 2, got True"),
+    (("abelian-s", "--param", 'ns=["a"]'), "must be an int >= 2, got 'a'"),
+    (("abelian-s", "--param", "ns=[]"), "ns must not be empty"),
+    (("transvections", "--param", "ns=[]"), "ns must not be empty"),
+    (("t-a-witnesses", "--param", "configs=[]"), "configs must not be empty"),
+], ids=["forms-half-rank-1", "transvections-half-rank-1", "t-a-half-rank-1", "t-a-kind",
+        "abelian-n1", "abelian-bool", "abelian-str", "abelian-empty", "transvections-empty",
+        "t-a-empty"])
+def test_verify_refuses_bad_list_entries(capsys, monkeypatch, argv, message):
+    _refuse_trials(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    _assert_refused(code, out, err, message)
 
 
 @pytest.mark.parametrize("argv, message", [

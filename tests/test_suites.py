@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import rigidlin.normal_forms
 import rigidlin.suites
 import rigidlin.witnesses
 from rigidlin import (
@@ -106,7 +107,16 @@ PINNED_POLYNOMIAL_REPORTS = {
     ("transvections", "Fp[x]/5"): "4bc8141bf468dfa659e4b66948b422bf91c91f40538382cc529af8ce82ab16d2",
     ("t-a-witnesses", "Fp[x]/5"): "1ef63afe0f67232dcfca6d7c3f01f2c530f531d6378fef6f3ee43171c8e98de4",
 }
+# The same over Z, recorded before these suites stopped re-checking the
+# identities that their emitters check.
+PINNED_EMITTER_REPORTS = {
+    ("kernel-oracle", "Z"): "b693d06da54afbca0935a4dbcbfa77670d76f268e6de89360b74179b30decc6d",
+    ("rigidity-empirical", "Z"): "f255703ff8aa40b85d882c4f23a30456e924663a49782f3a4597bba71974838f",
+    ("transvections", "Z"): "a1f5aef0a8cf5be11491ad9e13b6268d642b3bfa529f4bb531e8d1c8f8f6efc0",
+    ("t-a-witnesses", "Z"): "a87c52b5b7bd122a5d7cec162e0413799989b94faeef6ba465dafe12757f72a4",
+}
 PINNED_PARAMS = {
+    "kernel-oracle": {"trials": 20, "box": 3, "seed": 3},
     "lemma-ke": {"n": 4, "trials": 3, "need": 6, "seed": 3},
     "lemma-new": {"n": 4, "trials": 2, "need": 5, "conjugators": 3, "seed": 3},
     "ring-axioms": {"samples": 200, "seed": 3},
@@ -132,6 +142,11 @@ def test_stabilizer_reports_match_pinned_digest(suite, ring_text):
 @pytest.mark.parametrize("suite, ring_text", sorted(PINNED_POLYNOMIAL_REPORTS))
 def test_polynomial_ring_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_POLYNOMIAL_REPORTS[suite, ring_text]
+
+
+@pytest.mark.parametrize("suite, ring_text", sorted(PINNED_EMITTER_REPORTS))
+def test_emitter_checked_reports_match_pinned_digest(suite, ring_text):
+    assert _report_digest(suite, ring_text) == PINNED_EMITTER_REPORTS[suite, ring_text]
 
 
 def _shear_not_fixing_e1(ring, n, functional):
@@ -167,6 +182,43 @@ def test_broken_conjugate_is_a_reported_failure(monkeypatch):
     assert len(report.failures) == 6  # one per conjugator and trial
     assert all(f["expected"] == "closed under conjugation" for f in report.failures)
     assert all("q * T' == T * q" in f["got"] for f in report.failures)
+    assert report.samples == []
+
+
+def _every_unit_vector_in_the_kernel(a):
+    """A Hermite form of zero rows only: ``kernel_basis`` then takes every
+    unit vector for a kernel vector, and its own A v == 0 check fails."""
+    return Matrix.zeros(a.ring, a.rows, a.cols), Matrix.identity(a.ring, a.rows)
+
+
+class _DoubledIdentity(Matrix):
+    """Matrix whose identity is 2I: transvections and block witnesses built
+    on it fail their own identity checks."""
+
+    @classmethod
+    def identity(cls, ring, n):
+        one = Matrix.identity(ring, n)
+        return one + one
+
+
+@pytest.mark.parametrize("suite, params, module, name, broken, expected", [
+    ("kernel-oracle", {"trials": 5, "box": 2}, rigidlin.normal_forms, "hermite_normal_form",
+     _every_unit_vector_in_the_kernel, "A v == 0"),
+    ("rigidity-empirical", {"trials": 5, "need": 4}, rigidlin.normal_forms,
+     "hermite_normal_form", _every_unit_vector_in_the_kernel, "kernel membership"),
+    ("transvections", {"ns": [2, 3], "trials": 8}, rigidlin.witnesses, "Matrix",
+     _DoubledIdentity, "form preservation"),
+    ("t-a-witnesses", {"trials": 2, "need": 4}, rigidlin.witnesses, "Matrix",
+     _DoubledIdentity, "fixes g e1 and preserves the form"),
+], ids=["kernel-oracle", "rigidity-empirical", "transvections", "t-a-witnesses"])
+def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, params, module,
+                                                          name, broken, expected):
+    monkeypatch.setattr(module, name, broken)
+    report = run_suite(suite, Z, dict(params, seed=1))
+    assert report.verdict == "fail"
+    assert len(report.failures) == report.trials > 1
+    assert all(f["expected"] == expected and "IdentityViolation" in f["got"]
+               for f in report.failures)
     assert report.samples == []
 
 

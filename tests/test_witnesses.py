@@ -25,7 +25,6 @@ from rigidlin import (
     preserves_form,
     stabilizer_check,
     transvection,
-    transvection_fixes_constraints,
     transvection_short,
     unit_vector,
     unitary_generator,
@@ -254,15 +253,23 @@ def test_transvection_fixed_by_commuting_conjugator():
     assert g @ tau @ g_inv == tau
 
 
+def _fixes_constraints(ctx, u, v, r):
+    tau = transvection(ctx.form, u, v)
+    short = transvection_short(ctx.form, v, r)
+    return all(tau.apply(w) == w and short.apply(w) == w for w in ctx.constraint_vectors)
+
+
 def test_transvection_fixes_constraints():
     sym = form_matrix(Z, 2, "symplectic")
     ctx = StabilizerContext(Z, 4, (), sym)
-    assert transvection_fixes_constraints(ctx, (1, 2, 0, 0), (0, 1, 0, 0), 3)
+    assert _fixes_constraints(ctx, (1, 2, 0, 0), (0, 1, 0, 0), 3)
     g = unitary_generator(Z, 2, -1, 3, 1, 1)  # g e1 = e1 + e3
     ctx2 = StabilizerContext(Z, 4, (g,), sym)
     # u, v must pair to zero with e1 and e1 + e3: second-block coordinate
     # directions e2 work
-    assert transvection_fixes_constraints(ctx2, (0, 1, 0, 0), (0, 2, 0, 0), 1)
+    assert _fixes_constraints(ctx2, (0, 1, 0, 0), (0, 2, 0, 0), 1)
+    # a pair outside the complement of e1 moves it
+    assert not _fixes_constraints(ctx, (0, 0, 1, 0), (0, 1, 0, 0), 1)
 
 
 def test_block_witness_word_realization():
