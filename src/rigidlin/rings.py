@@ -184,6 +184,12 @@ class Integers(Ring):
         r = a % abs(b)  # least nonnegative remainder
         return (a - r) // b, r
 
+    def exact_div(self, a, b):
+        q, r = divmod(a, b)
+        if r:
+            raise ArithmeticError(f"{a} is not an exact multiple of {b}")
+        return q
+
     def norm(self, a) -> int:
         return abs(a)
 

@@ -275,7 +275,11 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
             if len(kernel_vectors) * len(image) != m ** cols:
                 _fail(failures, label, f"|ker|*|im| == {m ** cols}",
                       f"{len(kernel_vectors)}*{len(image)}")
-            streamed = list(solution_stream(a, m ** cols + 5))
+            try:
+                streamed = list(solution_stream(a, m ** cols + 5))
+            except IdentityViolation as exc:
+                _fail(failures, label, "kernel membership", repr(exc))
+                continue
             if set(streamed) != kernel_vectors - {tuple([0] * cols)}:
                 _fail(failures, label, "stream == nonzero kernel", str(len(streamed)))
             if len(streamed) != len(set(streamed)):
@@ -337,9 +341,9 @@ def _suite_intersection(ring: Ring, p: dict) -> dict:
     for t, words, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
         if not ring.is_finite and len(witnesses) < need:
             _fail(failures, label, f"{need} witnesses", str(len(witnesses)))
-        matrices = {w.matrix for w in witnesses}
-        if len(matrices) != len(witnesses):
-            _fail(failures, label, "pairwise distinct witnesses", str(len(matrices)))
+        functionals = {w.functional for w in witnesses}
+        if len(functionals) != len(witnesses):
+            _fail(failures, label, "pairwise distinct witnesses", str(len(functionals)))
         if t == 0:
             kept.append({"conjugators": [format_word(w) for w in words],
                          "witnesses": [format_matrix(w.matrix) for w in witnesses[:3]]})
@@ -547,13 +551,12 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
     failures: list = []
     kept = []
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
-    per_combo = max(1, p["trials"] // len(combos))
-    trials = 0
-    for kind, n in combos:
+    # exactly p["trials"] trials: the first pairs take the remainder
+    per_combo, extra = divmod(p["trials"], len(combos))
+    for index, (kind, n) in enumerate(combos):
         form = form_matrix(ring, n, kind)
         word_kind = "esp" if kind == "symplectic" else "eo"
-        for t in range(per_combo):
-            trials += 1
+        for t in range(per_combo + (index < extra)):
             rng = _rng(p["seed"], f"transvections:{kind}:{n}", t)
             k = rng.randint(0, min(2, n - 1))
             conjugators = tuple(
@@ -597,7 +600,7 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
             if t == 0:
                 kept.append({"context": label, "u": format_vector(ring, u),
                              "v": format_vector(ring, v), "tau": format_matrix(tau)})
-    return {"trials": trials, "failures": failures, "samples": kept}
+    return {"trials": p["trials"], "failures": failures, "samples": kept}
 
 
 def _suite_block_witnesses(ring: Ring, p: dict) -> dict:

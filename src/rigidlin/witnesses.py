@@ -2,9 +2,9 @@
 
 Three constructions, all emitted through fail-fast verification:
 
-* first-row shears ``(1, f; 0, I)`` built from functionals annihilating
+* first-row shears ``(1, f; 0, I)``, held as functionals f annihilating
   the first columns of the conjugating matrices; each emission is checked
-  to lie in every conjugated stabilizer exactly;
+  to lie in every conjugated stabilizer, each conjugate on its first row;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form;
 * upper block-unipotent matrices ``(I, A; 0, I)`` over the symmetry class
@@ -70,10 +70,16 @@ class StabilizerContext:
 
 @dataclass(frozen=True)
 class ShearWitness:
-    """The matrix (1, f; 0, I) adding f(tail of v) to the first coordinate."""
+    """The shear (1, f; 0, I), held as f; ``matrix`` builds it on demand."""
 
+    ring: Ring
     functional: tuple
-    matrix: Matrix
+
+    @property
+    def matrix(self) -> Matrix:
+        ring, f = self.ring, self.functional
+        rows = Matrix.identity(ring, len(f) + 1).entries[1:]
+        return Matrix._raw(ring, ((ring.one,) + f,) + rows)
 
 
 class PreparedConjugator:
@@ -106,12 +112,6 @@ def stabilizer_check(m: Matrix) -> bool:
     return m.column(0) == unit_vector(m.ring, m.rows, 0)
 
 
-def _shear(ring: Ring, n: int, functional: tuple) -> ShearWitness:
-    # entries already canonical: checked, or results of ring operations
-    rows = Matrix.identity(ring, n).entries[1:]
-    return ShearWitness(functional, Matrix._raw(ring, ((ring.one,) + functional,) + rows))
-
-
 def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
     """First-row shear for a functional on the last n-1 coordinates."""
     functional = tuple(functional)
@@ -121,26 +121,24 @@ def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
         raise ValueError(f"functional length {len(functional)} != {n - 1}")
     for c in functional:
         ring.check(c)
-    return _shear(ring, n, functional)
+    return ShearWitness(ring, functional)
 
 
 def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[ShearWitness]:
     """Shears lying in the stabilizer of e1 and in every conjugated copy.
 
     Functionals come from the annihilator of the projected images; each
-    shear T is verified to fix e1 and every image g e1 before it is
-    yielded (for invertible g, T g e1 == g e1 is g^-1 * T * g * e1 == e1).
+    shear T is verified to fix every image g e1 (T v = v exactly when
+    f(tail of v) = 0) before it is yielded: g^-1 * T * g * e1 == e1.
     The stream is infinite over an infinite ring whenever the number of
     conjugators is at most size - 2.
     """
     ring = ctx.ring
-    n = ctx.size
-    for functional in annihilating_functionals(ring, n - 1, ctx.projected_images, count):
-        witness = build_shear(ring, n, functional)
-        for image in ctx.constraint_vectors:
-            if witness.matrix.apply(image) != image:
+    for functional in annihilating_functionals(ring, ctx.size - 1, ctx.projected_images, count):
+        for tail in ctx.projected_images:
+            if vec_dot(ring, functional, tail) != ring.zero:
                 raise IdentityViolation("shear escaped a conjugated stabilizer")
-        yield witness
+        yield ShearWitness(ring, functional)
 
 
 def conjugate_by_stabilizer(
@@ -149,10 +147,11 @@ def conjugate_by_stabilizer(
     """Conjugate a shear by a stabilizer element q = (1, x; 0, A).
 
     q is prepared for ctx, or a bare ``Matrix`` that is prepared first.
-    The result is the shear with functional f*A; the exact identity
-    q * result == witness * q is asserted (equivalent to result being the
-    conjugate q^-1 * witness * q, q being invertible), as is f*A
-    annihilating every projected image.  A failed assertion means a
+    The result is the shear T' with functional f' = f*A.  As q e1 = e1,
+    q * T' and T * q can differ only in the first row, (1, x + f') against
+    (1, x) + (0, f)*q; that row, with (0, f)*q taken from the rows of q, is
+    asserted equal (equivalent to T' = q^-1 * T * q, q being invertible), as
+    is f' annihilating every projected image.  A failed assertion means a
     broken identity, never a bad input.
     """
     if isinstance(q, Matrix):
@@ -161,13 +160,13 @@ def conjugate_by_stabilizer(
         raise ValueError("conjugator was prepared for another context")
     ring = ctx.ring
     functional = tuple(vec_dot(ring, witness.functional, col) for col in q.lower_columns)
-    result = _shear(ring, ctx.size, functional)
-    if q.matrix @ result.matrix != witness.matrix @ q.matrix:
+    first_row = tuple(vec_dot(ring, witness.functional, col) for col in zip(*q.matrix.entries[1:]))
+    if first_row != (ring.zero,) + functional:
         raise IdentityViolation("conjugated shear failed q * T' == T * q")
     for u in ctx.projected_images:
         if vec_dot(ring, functional, u) != ring.zero:
             raise IdentityViolation("conjugated functional does not annihilate an image")
-    return result
+    return ShearWitness(ring, functional)
 
 
 def complement_module(form: BilinearForm, vectors) -> KernelModule:

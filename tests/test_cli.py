@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import rigidlin.normal_forms
 import rigidlin.suites
 import rigidlin.witnesses
-from rigidlin import Integers, Matrix, ShearWitness, parse_matrix, in_row_span
+from rigidlin import Integers, parse_matrix, in_row_span
 from rigidlin.cli import main
 
 Z = Integers()
@@ -161,19 +162,24 @@ def test_python_dash_m_runs_the_cli():
     assert "suite abelian-s over Z: pass" in run.stdout
 
 
-def _shear_not_fixing_e1(ring, n, functional):
-    return ShearWitness(tuple(functional), Matrix.zeros(ring, n, n))
+def _functionals_not_annihilating(ring, dim, constraints, count):
+    """Annihilating functionals with one added to each coordinate: their
+    shears no longer fix the conjugated images."""
+    for f in rigidlin.normal_forms.annihilating_functionals(ring, dim, constraints, count):
+        yield tuple(ring.add(c, ring.one) for c in f)
 
 
 def test_identity_violation_in_suite_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+                        _functionals_not_annihilating)
     code, out, _ = run_cli(capsys, "verify", "lemma-ke", "--trials", "2", "--count", "3")
     assert code == 1
     assert "fail" in out
 
 
 def test_identity_violation_escaping_a_command_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+                        _functionals_not_annihilating)
     code, out, err = run_cli(capsys, "witness", "--group", "en", "--n", "3",
                              "--conjugators", "e(2,1,1)", "--count", "2")
     assert code == 1

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 
@@ -11,7 +12,7 @@ from rigidlin import (
     IntegerPolynomials,
     Matrix,
     Modular,
-    ShearWitness,
+    PreparedConjugator,
     StabilizerContext,
     UnsupportedRingError,
     parse_matrix,
@@ -149,13 +150,17 @@ def test_emitter_checked_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_EMITTER_REPORTS[suite, ring_text]
 
 
-def _shear_not_fixing_e1(ring, n, functional):
-    return ShearWitness(tuple(functional), Matrix.zeros(ring, n, n))
+def _functionals_not_annihilating(ring, dim, constraints, count):
+    """Annihilating functionals with one added to each coordinate: their
+    shears no longer fix the conjugated images."""
+    for f in rigidlin.normal_forms.annihilating_functionals(ring, dim, constraints, count):
+        yield tuple(ring.add(c, ring.one) for c in f)
 
 
 @pytest.mark.parametrize("suite", ["lemma-ke", "lemma-new"])
 def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
-    monkeypatch.setattr(rigidlin.witnesses, "build_shear", _shear_not_fixing_e1)
+    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+                        _functionals_not_annihilating)
     params = {"n": 3, "trials": 2, "need": 4, "seed": 1}
     if suite == "lemma-new":
         params["conjugators"] = 2
@@ -166,16 +171,20 @@ def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
     assert report.samples == []
 
 
+class _ConjugatorWithWrongLowerColumns(PreparedConjugator):
+    """A prepared conjugator whose lower columns, from which conjugated
+    functionals are computed, have one added to each entry of its matrix's."""
+
+    def __init__(self, ctx, q):
+        super().__init__(ctx, q)
+        one = ctx.ring.one
+        self.lower_columns = tuple(tuple(ctx.ring.add(c, one) for c in col)
+                                   for col in self.lower_columns)
+
+
 def test_broken_conjugate_is_a_reported_failure(monkeypatch):
-    real = rigidlin.suites.conjugate_by_stabilizer
-
-    def conjugate_with_wrong_functional(witness, q, ctx):
-        # the functional no longer matches the shear, so q * T' != T * q
-        shifted = tuple(c + 1 for c in witness.functional)
-        return real(ShearWitness(shifted, witness.matrix), q, ctx)
-
-    monkeypatch.setattr(rigidlin.suites, "conjugate_by_stabilizer",
-                        conjugate_with_wrong_functional)
+    # the conjugated functional no longer matches q, so q * T' != T * q
+    monkeypatch.setattr(rigidlin.suites, "PreparedConjugator", _ConjugatorWithWrongLowerColumns)
     report = run_suite("lemma-new", Z,
                        {"n": 3, "trials": 2, "need": 4, "conjugators": 3, "seed": 1})
     assert report.verdict == "fail"
@@ -201,20 +210,23 @@ class _DoubledIdentity(Matrix):
         return one + one
 
 
-@pytest.mark.parametrize("suite, params, module, name, broken, expected", [
-    ("kernel-oracle", {"trials": 5, "box": 2}, rigidlin.normal_forms, "hermite_normal_form",
+@pytest.mark.parametrize("suite, ring, params, module, name, broken, expected", [
+    ("kernel-oracle", Z, {"trials": 5, "box": 2}, rigidlin.normal_forms, "hermite_normal_form",
      _every_unit_vector_in_the_kernel, "A v == 0"),
-    ("rigidity-empirical", {"trials": 5, "need": 4}, rigidlin.normal_forms,
+    ("rigidity-empirical", Z, {"trials": 5, "need": 4}, rigidlin.normal_forms,
      "hermite_normal_form", _every_unit_vector_in_the_kernel, "kernel membership"),
-    ("transvections", {"ns": [2, 3], "trials": 8}, rigidlin.witnesses, "Matrix",
+    ("rigidity-empirical", Modular(5), {"finite_trials": 3}, rigidlin.normal_forms,
+     "hermite_normal_form", _every_unit_vector_in_the_kernel, "kernel membership"),
+    ("transvections", Z, {"ns": [2, 3], "trials": 8}, rigidlin.witnesses, "Matrix",
      _DoubledIdentity, "form preservation"),
-    ("t-a-witnesses", {"trials": 2, "need": 4}, rigidlin.witnesses, "Matrix",
+    ("t-a-witnesses", Z, {"trials": 2, "need": 4}, rigidlin.witnesses, "Matrix",
      _DoubledIdentity, "fixes g e1 and preserves the form"),
-], ids=["kernel-oracle", "rigidity-empirical", "transvections", "t-a-witnesses"])
-def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, params, module,
-                                                          name, broken, expected):
+], ids=["kernel-oracle", "rigidity-empirical", "rigidity-empirical-finite", "transvections",
+        "t-a-witnesses"])
+def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ring, params,
+                                                          module, name, broken, expected):
     monkeypatch.setattr(module, name, broken)
-    report = run_suite(suite, Z, dict(params, seed=1))
+    report = run_suite(suite, ring, dict(params, seed=1))
     assert report.verdict == "fail"
     assert len(report.failures) == report.trials > 1
     assert all(f["expected"] == expected and "IdentityViolation" in f["got"]
@@ -296,6 +308,26 @@ def test_lemma_new_suite_small():
                        {"n": 3, "trials": 2, "need": 6, "conjugators": 4, "seed": 7})
     assert report.verdict == "pass"
     assert report.samples and "conjugate" in report.samples[0]
+
+
+@pytest.mark.parametrize("trials, per_pair", [
+    (1, {"symplectic:2": 1}),
+    (7, {"symplectic:2": 2, "symplectic:4": 2, "orthogonal:2": 2, "orthogonal:4": 1}),
+])
+def test_transvections_runs_the_requested_trial_count(monkeypatch, trials, per_pair):
+    started = []
+    real = rigidlin.suites._rng
+
+    def counting_rng(seed, label, t):
+        started.append(label.removeprefix("transvections:"))
+        return real(seed, label, t)
+
+    monkeypatch.setattr(rigidlin.suites, "_rng", counting_rng)
+    report = run_suite("transvections", Z, {"trials": trials, "seed": 5})
+    assert report.verdict == "pass"
+    assert report.trials == trials
+    # four (kind, n) pairs; the first trials % 4 of them run one more trial
+    assert collections.Counter(started) == per_pair
 
 
 def test_t_a_suite_small():
