@@ -8,7 +8,8 @@ the ``e(i,j,r);rl(i,a);rs(i,j,a)`` token grammar, rings the descriptors
 Exit codes: 0 when the requested check passes, 1 when a suite reports a
 failure or a verified identity fails, 2 on usage errors (bad literals,
 unsupported rings, unknown suites, parameters a suite does not take or
-that are out of range, enumerations above their cap).
+that are out of range, enumerations above their cap, ``--seed`` outside
+``verify``, ``--count`` below 1).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .witnesses import (
 
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--ring", default="Z", help="ring descriptor (default: Z)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub.add_argument("--json", action="store_true", help="emit JSON on stdout")
     sub.add_argument("--out", metavar="PATH", help="also write the JSON payload to PATH")
 
@@ -57,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="parameter override with a JSON value, e.g. trials=5 or ns=[2,4] (repeatable)",
     )
+    verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     _add_common(verify)
 
     kernel = commands.add_parser("kernel", help="kernel basis and solution stream")
@@ -128,7 +129,13 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+def _check_count(args) -> None:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
+
+
 def _cmd_kernel(args) -> int:
+    _check_count(args)
     ring = ring_from_text(args.ring)
     matrix = parse_matrix(ring, args.matrix)
     kernel = kernel_basis(matrix)
@@ -159,6 +166,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    _check_count(args)
     ring = ring_from_text(args.ring)
     word_texts = [w for chunk in args.conjugators for w in chunk.split("|") if w.strip()]
     words = [parse_word(ring, args.group, args.n, text) for text in word_texts]

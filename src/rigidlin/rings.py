@@ -9,7 +9,10 @@ through the ring object that owns it:
   with no trailing zeros, ``()`` is the zero polynomial
 * ``Z[x]``    -- polynomials over ``Z``, same tuple convention.  Both
   polynomial rings compute on whole coefficient lists with ``int``
-  arithmetic, reducing each result mod p once over ``Z/p``
+  arithmetic, reducing each result mod p once over ``Z/p``.  Over ``Z/p``
+  a product of operands with at least ``_KRONECKER_MIN_WORK`` coefficient
+  pairs is one big-int multiply by Kronecker substitution; shorter
+  products, and every product over ``Z``, stay schoolbook
 * ``Zi``      -- Gaussian integers as ``(re, im)`` pairs
 
 Canonical values make equality, hashing and printing unambiguous, which
@@ -34,7 +37,9 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from abc import ABC, abstractmethod
+from array import array
 from typing import Iterator
 
 from .errors import ParseError, UnsupportedRingError
@@ -465,6 +470,11 @@ class _PolynomialRing(Ring):
     def mul(self, a, b):
         if not a or not b:
             return ()
+        if (len(a) * len(b) >= _KRONECKER_MIN_WORK and len(a) > 1 and len(b) > 1
+                and self._modulus):
+            out = _kronecker_mul(a, b, self._modulus)
+            if out is not None:
+                return out
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -542,6 +552,40 @@ class _PolynomialRing(Ring):
                 pieces.append("+")
             pieces.append(body)
         return "".join(pieces)
+
+
+# Products over Z/p of operands with at least 2 coefficients each and at
+# least this many coefficient pairs go through _kronecker_mul.  Below it the
+# fixed cost of packing exceeds schoolbook's; on the products of a poly-fp5
+# benchmark round, total mul time is flat for thresholds from 28 to 50.
+_KRONECKER_MIN_WORK = 30
+
+# (item size in bytes, unsigned array code) for the slot widths 1, 2, 4, 8,
+# read from the platform's array module rather than assumed.
+_SLOT_CODES = tuple(sorted({array(code).itemsize: code for code in "QLIHB"}.items()))
+
+
+def _kronecker_mul(a, b, p):
+    """The product of a and b over Z/p by Kronecker substitution, or None
+    when a slot would need more than 8 bytes.
+
+    Each operand is packed into one int, one coefficient per fixed-width
+    slot; a slot holds min(len(a), len(b)) * (p-1)**2, the largest
+    coefficient of the integer product, so slots never carry into each
+    other and the product's slots are its coefficients.
+    """
+    bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+    for size, code in _SLOT_CODES:
+        if 8 * size >= bits:
+            break
+    else:
+        return None
+    order = sys.byteorder
+    x = int.from_bytes(array(code, a).tobytes(), order)
+    y = int.from_bytes(array(code, b).tobytes(), order)
+    out = array(code)
+    out.frombytes((x * y).to_bytes((len(a) + len(b) - 1) * size, order))
+    return tuple([c % p for c in out])  # the leading term survives: Z/p is a field
 
 
 def _strip(coeffs: list[int]) -> tuple[int, ...]:
@@ -640,18 +684,36 @@ class PrimeFieldPolynomials(_PolynomialRing):
         return (pow(a[-1], -1, self.p),)
 
 
+# Miller-Rabin on the primes up to 41 as bases decides primality exactly
+# below _PRIME_TEST_LIMIT (Sorenson and Webster 2015, psi_13).  Larger p is
+# refused: no test here is both exact and quick for it.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
     if not isinstance(p, int) or p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(
+            f"{p} is too large for Fp[x]/p: primality is decided only below "
+            f"{_PRIME_TEST_LIMIT} (about 3.3e24)"
+        )
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 == d * 2**s with d odd
+    d = (p - 1) >> s
+    for base in _PRIME_BASES:
+        x = pow(base, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

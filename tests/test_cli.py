@@ -150,14 +150,16 @@ def test_verify_takes_json_parameter_values(capsys, argv, key, value):
     assert payload["verdict"] == "pass" and payload["params"][key] == value
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_python_m(*argv, timeout=60):
     env = dict(os.environ)
     src = str(Path(rigidlin.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    run = subprocess.run(
-        [sys.executable, "-m", "rigidlin", "verify", "abelian-s", "--param", "ns=[2]"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "rigidlin", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_python_dash_m_runs_the_cli():
+    run = _run_python_m("verify", "abelian-s", "--param", "ns=[2]")
     assert run.returncode == 0, run.stderr
     assert "suite abelian-s over Z: pass" in run.stdout
 
@@ -285,3 +287,35 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--matrix", "1,2", "--count", "3"),
+    ("snf", "--matrix", "2,4;6,8"),
+    ("witness", "--group", "en", "--n", "3", "--count", "2"),
+    ("eval-word", "--group", "en", "--n", "2", "--word", "e(1,2,1)"),
+], ids=["kernel", "snf", "witness", "eval-word"])
+def test_seed_is_refused_outside_verify(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--seed", "7")
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kernel", "--matrix", "1,2", "--count", "0"),
+    ("kernel", "--matrix", "1,2", "--count", "-3"),
+    ("witness", "--n", "3", "--count", "0"),
+    ("witness", "--n", "3", "--count", "-1"),
+], ids=["kernel-zero", "kernel-negative", "witness-zero", "witness-negative"])
+def test_count_below_one_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _assert_refused(code, out, err, "error: --count must be at least 1")
+
+
+def test_prime_too_large_to_test_exits_two():
+    # 2**127 - 1, above the bound below which primality is decided; the
+    # timeout catches a primality test that does not end
+    run = _run_python_m("snf", "--matrix", "1", "--ring", f"Fp[x]/{2**127 - 1}", timeout=10)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "too large" in run.stderr

@@ -12,6 +12,7 @@ from rigidlin import (
     PrimeFieldPolynomials,
     ring_from_text,
 )
+from rigidlin import rings
 
 ALL_RINGS = [
     Integers(),
@@ -203,8 +204,11 @@ def test_polynomial_enumeration_matches_pinned_digest(text):
 
 
 def _operand_pairs(rng, ring):
-    """Pairs at every degree 0-40, with the zero polynomial, and pairs whose
-    sum or difference cancels the top coefficients (the result is stripped)."""
+    """Pairs at every degree 0-40 and every tenth degree 50-130 (the degrees
+    that Fp[x] Hermite and Smith transforms reach), with the zero polynomial,
+    pairs whose sum or difference cancels the top coefficients (the result
+    is stripped), and pairs just either side of the size at which Fp[x]
+    multiplies by Kronecker substitution."""
     p = getattr(ring, "p", None)
 
     def coeff(nonzero=False):
@@ -227,32 +231,90 @@ def _operand_pairs(rng, ring):
         a = poly(degree)
         pairs += [(a, poly(degree)), (a, poly(rng.randrange(41))),
                   (a, cancelling(a, -1)), (a, cancelling(a, 1)), (a, a)]
+    for degree in range(50, 131, 10):
+        a = poly(degree)
+        pairs += [(a, poly(degree)), (a, poly(rng.randrange(131))),
+                  (a, cancelling(a, -1)), (a, cancelling(a, 1)), (a, a)]
+    for short in (2, 3, 5):
+        at = -(-rings._KRONECKER_MIN_WORK // short)  # fewest coefficients that pack
+        for long in (at - 1, at):
+            a, b = poly(short - 1), poly(long - 1)
+            pairs += [(a, b), (b, a)]
     return pairs
 
 
-@pytest.mark.parametrize("ring", [PrimeFieldPolynomials(p) for p in (2, 3, 5, 7)]
+# 2, 3, 5 and 7 pack into 1- and 2-byte slots, 251 into 4, 65521 into 8;
+# 4294967311 is too large to pack and multiplies by schoolbook
+@pytest.mark.parametrize("ring", [PrimeFieldPolynomials(p)
+                                  for p in (2, 3, 5, 7, 251, 65521, 4294967311)]
                          + [IntegerPolynomials()], ids=ring_id)
 def test_polynomial_arithmetic_matches_sympy(ring):
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
+    pytest.importorskip("sympy")
+    from sympy.polys.densearith import dup_add, dup_mul, dup_neg, dup_sub
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_add, gf_mul, gf_neg, gf_sub
+
+    # sympy's dense arithmetic on high-to-low coefficient lists: galoistools
+    # over Z/p, densearith over Z
     p = getattr(ring, "p", None)
-    domain = sympy.GF(p, symmetric=False) if p else sympy.ZZ
+    if p:
+        ops = [lambda *fs, op=op: op(*fs, p, ZZ) for op in (gf_add, gf_sub, gf_mul, gf_neg)]
+    else:
+        ops = [lambda *fs, op=op: op(*fs, ZZ) for op in (dup_add, dup_sub, dup_mul, dup_neg)]
+    add, sub, mul, neg = ops
 
     def to_sympy(a):
-        return sympy.Poly(list(reversed(a)) or [0], x, domain=domain)
+        return [ZZ(c) for c in reversed(a)]
 
     def from_sympy(f):
-        coeffs = [int(c) % p if p else int(c) for c in reversed(f.all_coeffs())]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
+        return tuple(int(c) for c in reversed(f))
 
     for a, b in _operand_pairs(random.Random(f"sympy:{ring.descriptor}"), ring):
         fa, fb = to_sympy(a), to_sympy(b)
-        assert ring.add(a, b) == from_sympy(fa + fb)
-        assert ring.sub(a, b) == from_sympy(fa - fb)
-        assert ring.mul(a, b) == from_sympy(fa * fb)
-        assert ring.neg(a) == from_sympy(-fa)
+        assert ring.add(a, b) == from_sympy(add(fa, fb))
+        assert ring.sub(a, b) == from_sympy(sub(fa, fb))
+        assert ring.mul(a, b) == from_sympy(mul(fa, fb))
+        assert ring.neg(a) == from_sympy(neg(fa))
+
+
+# the fewest coefficients a partner of a two-coefficient operand needs to pack
+_PACKS_AT = -(-rings._KRONECKER_MIN_WORK // 2)
+
+
+@pytest.mark.parametrize("ring, lens, packed", [
+    (PrimeFieldPolynomials(5), (2, _PACKS_AT - 1), None),
+    (PrimeFieldPolynomials(5), (2, _PACKS_AT), True),
+    (PrimeFieldPolynomials(5), (1, 2 * _PACKS_AT), None),
+    (PrimeFieldPolynomials(65521), (2, _PACKS_AT), True),
+    (PrimeFieldPolynomials(4294967311), (2, _PACKS_AT), False),
+    (IntegerPolynomials(), (2, _PACKS_AT), None),
+], ids=["below", "at", "constant", "8-byte", "unpackable", "Z[x]"])
+def test_fp_mul_packs_from_the_threshold_on(monkeypatch, ring, lens, packed):
+    """None: schoolbook without trying to pack; False: the slot would be
+    wider than 8 bytes, so schoolbook after trying."""
+    tried = []
+    pack = rings._kronecker_mul
+
+    def spy(a, b, p):
+        out = pack(a, b, p)
+        tried.append(out is not None)
+        return out
+
+    monkeypatch.setattr(rings, "_kronecker_mul", spy)
+    a, b = ((1,) * n for n in lens)
+    ring.mul(a, b)
+    assert tried == ([] if packed is None else [packed])
+
+
+def test_large_prime_is_refused_at_once():
+    # primality is decided exactly, by Miller-Rabin, only below about 3.3e24
+    with pytest.raises(ValueError, match="too large"):
+        PrimeFieldPolynomials(2**127 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        ring_from_text(f"Fp[x]/{2**127 - 1}")
+    assert PrimeFieldPolynomials(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError, match="not prime"):
+        PrimeFieldPolynomials(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
 
 
 def test_non_euclidean_rings_reject_division():
