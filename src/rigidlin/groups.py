@@ -43,7 +43,7 @@ def elementary_matrix(ring: Ring, n: int, i: int, j: int, r) -> Matrix:
         [ring.one if a == b else ring.zero for b in range(n)] for a in range(n)
     ]
     grid[i - 1][j - 1] = r
-    return Matrix(ring, grid)
+    return Matrix._raw(ring, tuple(map(tuple, grid)))
 
 
 def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Matrix:
@@ -73,7 +73,7 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
         if epsilon != -1:
             raise ValueError("the (i, sigma i) generator exists only in the symplectic group")
         grid[i - 1][j - 1] = a
-        return Matrix(ring, grid)
+        return Matrix._raw(ring, tuple(map(tuple, grid)))
     eps = ring.one if epsilon == 1 else ring.neg(ring.one)
     if i <= n and j <= n:
         mirrored = a
@@ -85,7 +85,7 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
         mirrored = a
     grid[i - 1][j - 1] = a
     grid[sj - 1][si - 1] = ring.neg(mirrored)
-    return Matrix(ring, grid)
+    return Matrix._raw(ring, tuple(map(tuple, grid)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ def form_matrix(ring: Ring, n: int, kind: str) -> BilinearForm:
     for k in range(n):
         grid[k][n + k] = o
         grid[n + k][k] = lower
-    return BilinearForm(kind, n, Matrix(ring, grid), -1 if kind == "symplectic" else 1)
+    gram = Matrix._raw(ring, tuple(map(tuple, grid)))
+    return BilinearForm(kind, n, gram, -1 if kind == "symplectic" else 1)
 
 
 def preserves_form(m: Matrix, form: BilinearForm) -> bool:
@@ -285,4 +286,4 @@ def embed_stabilize(a: Matrix) -> Matrix:
             grid[1 + r][n + 2 + c] = a.entries[r][n + c]  # beta
             grid[n + 2 + r][1 + c] = a.entries[n + r][c]  # gamma
             grid[n + 2 + r][n + 2 + c] = a.entries[n + r][n + c]  # delta
-    return Matrix(ring, grid)
+    return Matrix._raw(ring, tuple(map(tuple, grid)))

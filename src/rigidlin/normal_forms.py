@@ -2,9 +2,12 @@
 
 The normal forms run over the Euclidean rings (Z, Zi, Fp[x]); residue
 rings are handled by lifting the system to the integers, augmenting with
-the modulus relations, and reducing back.  Elimination always pivots on
-the entry of smallest nonzero norm (ties broken by lowest row index),
-which keeps the transforms deterministic and the entries small.
+the modulus relations, and reducing back.  There is one elimination
+engine, the row Hermite form: it pivots on the entry of smallest nonzero
+norm (ties broken by lowest row index) and reduces the entries above each
+pivot, which keeps the transforms deterministic and their entries small.
+The Smith form is built from it by alternating Hermite passes on the rows
+and on the columns (Kannan–Bachem).
 
 Kernels are returned as ``KernelModule`` values and expanded into
 pairwise-distinct solution streams by walking coefficient tuples in the
@@ -50,14 +53,18 @@ def _row_scale(ring: Ring, rows: list, target: int, u):
     rows[target] = [mul(u, x) for x in rows[target]]
 
 
-def _hnf_core(ring: Ring, a_rows: list) -> tuple[list, list]:
-    """Row Hermite form: returns (h, u) as lists with u*a == h."""
-    m = len(a_rows)
-    h = [list(row) for row in a_rows]
-    u = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
+def _identity_rows(ring: Ring, n: int) -> list:
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+
+def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
+    """Row Hermite form in place: brings h to reduced row-echelon form by
+    unimodular row operations and applies each of them to the rows of u.
+    Returns (h, u)."""
+    m = len(h)
     z = ring.zero
     r = 0
-    for c in range(len(a_rows[0])):
+    for c in range(len(h[0])):
         if r >= m:
             break
         if all(h[i][c] == z for i in range(r, m)):
@@ -95,130 +102,63 @@ def _hnf_core(ring: Ring, a_rows: list) -> tuple[list, list]:
     return h, u
 
 
+def _snf_core(ring: Ring, d: list) -> tuple[list, list, list]:
+    """Smith form (d, u, v) with u*a*v == d: row Hermite passes on d and on
+    its transpose alternate until d is diagonal with a divisibility chain."""
+    u, vt = _identity_rows(ring, len(d)), _identity_rows(ring, len(d[0]))
+    z, minus_one = ring.zero, ring.neg(ring.one)
+    work, transform, other = d, u, vt
+    while True:
+        _hnf_core(ring, work, transform)
+        if all(x == z for i, row in enumerate(work) for j, x in enumerate(row) if i != j):
+            diag = [work[k][k] for k in range(min(len(work), len(work[0])))]
+            offender = next(((i, j) for i, j in itertools.combinations(range(len(diag)), 2)
+                             if diag[i] != z and ring.divmod(diag[j], diag[i])[1] != z), None)
+            if offender is None:
+                break
+            # row i += row j; the next pass, on the transpose, takes their gcd
+            _row_axpy(ring, work, *offender, minus_one)
+            _row_axpy(ring, transform, *offender, minus_one)
+        work = [list(col) for col in zip(*work)]
+        transform, other = other, transform
+    if transform is vt:
+        work = [list(col) for col in zip(*work)]
+    return work, u, [list(col) for col in zip(*vt)]
+
+
+def _normal_form(a: Matrix, name: str, core) -> tuple[Matrix, ...]:
+    """Run core(ring, rows) over the ring of a; a residue ring Z/m is lifted
+    to Z and each result reduced mod m."""
+    ring = a.ring
+    rows = [list(row) for row in a.entries]
+    if isinstance(ring, Modular):
+        m = ring.modulus
+        grids = (tuple(tuple(x % m for x in row) for row in out) for out in core(Integers(), rows))
+    elif ring.is_euclidean:
+        grids = (tuple(map(tuple, out)) for out in core(ring, rows))
+    else:
+        raise UnsupportedRingError(f"no {name} over {ring.descriptor}")
+    return tuple(Matrix._raw(ring, grid) for grid in grids)
+
+
 def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     """Return (H, U) with U*A = H, det(U) a unit, H in row-echelon form.
 
     Pivots are normalized to their canonical associates (positive over Z,
     monic over Fp[x]) and the entries above each pivot are reduced.
     """
-    ring = a.ring
-    if isinstance(ring, Modular):
-        ints = Integers()
-        h, u = _hnf_core(ints, [list(row) for row in a.entries])
-        reduce_ = ring.modulus
-        to_mod = lambda rows: Matrix(ring, [[x % reduce_ for x in row] for row in rows])
-        return to_mod(h), to_mod(u)
-    if not ring.is_euclidean:
-        raise UnsupportedRingError(f"no Hermite form over {ring.descriptor}")
-    h, u = _hnf_core(ring, [list(row) for row in a.entries])
-    return Matrix._raw(ring, tuple(map(tuple, h))), Matrix._raw(ring, tuple(map(tuple, u)))
-
-
-def _snf_core(ring: Ring, a_rows: list) -> tuple[list, list, list]:
-    m = len(a_rows)
-    n = len(a_rows[0])
-    d = [list(row) for row in a_rows]
-    u = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
-    v = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    z = ring.zero
-
-    def col_axpy(target: int, source: int, q):
-        # column_target -= q * column_source, applied to d and v
-        sub, mul = ring.sub, ring.mul
-        for row in itertools.chain(d, v):
-            y = row[source]
-            if y != z:
-                row[target] = sub(row[target], mul(q, y))
-
-    def col_swap(i: int, j: int):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(m, n)):
-        candidates = [
-            (ring.norm(d[i][j]), i, j)
-            for i in range(t, m)
-            for j in range(t, n)
-            if d[i][j] != z
-        ]
-        if not candidates:
-            break
-        _, pi, pj = min(candidates)
-        if pi != t:
-            d[t], d[pi] = d[pi], d[t]
-            u[t], u[pi] = u[pi], u[t]
-        if pj != t:
-            col_swap(t, pj)
-        while True:
-            col_clean = True
-            for i in range(t + 1, m):
-                if d[i][t] == z:
-                    continue
-                q, _ = ring.divmod(d[i][t], d[t][t])
-                if q != z:
-                    _row_axpy(ring, d, i, t, q)
-                    _row_axpy(ring, u, i, t, q)
-                if d[i][t] != z:
-                    col_clean = False
-            if not col_clean:
-                _, pivot = min((ring.norm(d[i][t]), i) for i in range(t, m) if d[i][t] != z)
-                if pivot != t:
-                    d[t], d[pivot] = d[pivot], d[t]
-                    u[t], u[pivot] = u[pivot], u[t]
-                continue
-            row_clean = True
-            for j in range(t + 1, n):
-                if d[t][j] == z:
-                    continue
-                q, _ = ring.divmod(d[t][j], d[t][t])
-                if q != z:
-                    col_axpy(j, t, q)
-                if d[t][j] != z:
-                    row_clean = False
-            if not row_clean:
-                _, pivot = min((ring.norm(d[t][j]), j) for j in range(t, n) if d[t][j] != z)
-                if pivot != t:
-                    col_swap(t, pivot)
-                continue
-            # pivot must divide the whole trailing block for the chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] == z:
-                        continue
-                    _, rem = ring.divmod(d[i][j], d[t][t])
-                    if rem != z:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            _row_axpy(ring, d, t, offender, ring.neg(ring.one))  # row_t += row_offender
-            _row_axpy(ring, u, t, offender, ring.neg(ring.one))
-        cu = ring.canonical_unit(d[t][t])
-        if cu != ring.one:
-            _row_scale(ring, d, t, cu)
-            _row_scale(ring, u, t, cu)
-    return d, u, v
+    return _normal_form(a, "Hermite form",
+                        lambda ring, h: _hnf_core(ring, h, _identity_rows(ring, len(h))))
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U*A*V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    ring = a.ring
-    if isinstance(ring, Modular):
-        ints = Integers()
-        d, u, v = _snf_core(ints, [list(row) for row in a.entries])
-        reduce_ = ring.modulus
-        to_mod = lambda rows: Matrix(ring, [[x % reduce_ for x in row] for row in rows])
-        return to_mod(d), to_mod(u), to_mod(v)
-    if not ring.is_euclidean:
-        raise UnsupportedRingError(f"no Smith form over {ring.descriptor}")
-    d, u, v = _snf_core(ring, [list(row) for row in a.entries])
-    raw = lambda rows: Matrix._raw(ring, tuple(map(tuple, rows)))
-    return raw(d), raw(u), raw(v)
+    """Return (D, U, V) with U*A*V = D diagonal, d_i | d_{i+1}, U, V unimodular.
+
+    D is reached by alternating Hermite passes on the rows and on the
+    columns of A; where d_i does not divide a later d_j, row j is added to
+    row i and the alternation resumes.
+    """
+    return _normal_form(a, "Smith form", _snf_core)
 
 
 def kernel_basis(a: Matrix) -> KernelModule:

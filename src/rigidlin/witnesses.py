@@ -249,7 +249,7 @@ def _block_from_parameters(form: BilinearForm, params: tuple) -> Matrix:
         grid[i][j] = value
         if i != j:
             grid[j][i] = value if form.kind == "symplectic" else ring.neg(value)
-    return Matrix(ring, grid)
+    return Matrix._raw(ring, tuple(map(tuple, grid)))
 
 
 def block_unipotent_witnesses(ctx: StabilizerContext, g: Matrix, count: int) -> Iterator[Matrix]:

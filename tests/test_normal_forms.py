@@ -227,6 +227,36 @@ def test_snf_modular_lift():
     assert m6.is_unit(u.det()) and m6.is_unit(v.det())
 
 
+@pytest.mark.parametrize("n", [16, 24])
+def test_snf_transforms_stay_near_hnf_size(n):
+    # the Smith transforms come out of reduced Hermite passes, so their
+    # entries stay within a small factor of the Hermite transform's
+    rng = random.Random(1)
+    a = Matrix(Z, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+    digits = lambda m: max(len(str(abs(x))) for row in m.entries for x in row)
+    limit = 3 * digits(hermite_normal_form(a)[1])
+    _, u, v = smith_normal_form(a)
+    assert digits(u) <= limit and digits(v) <= limit
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    from sympy.polys.domains import ZZ
+
+    rng = random.Random(109)
+    for k in range(240):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 0 and rows > 1:  # rank deficient: one row a multiple of another
+            grid[-1] = [rng.randint(-2, 2) * x for x in grid[0]]
+        d, _, _ = smith_normal_form(Matrix(Z, grid))
+        width = min(rows, cols)
+        expected = [int(x) for x in invariant_factors(sympy.Matrix(grid), domain=ZZ)]
+        expected += [0] * (width - len(expected))
+        assert [d.entries[i][i] for i in range(width)] == expected, grid
+
+
 # -- kernels -----------------------------------------------------------------
 
 def test_kernel_examples():
@@ -345,22 +375,30 @@ def test_gaussian_kernel_stream():
 # SHA-256 of the determinants, Hermite forms, Smith forms and kernel bases of
 # seeded matrices with many zero entries, recorded before elimination began
 # skipping the products of zero entries; the skips must change no output.
+# The Smith form is split: its diagonal D is unique and keeps the digest it
+# had under the earlier pivot-and-sweep engine ("snf_d"), while the
+# transforms U and V are not unique and are pinned as the alternating
+# Hermite passes produce them ("snf_uv").
 PINNED_NORMAL_FORMS = {
     ("det", "Z"): "50881ff5488ad9207cceb27d4acfdcadb3194a3c3e3509329e0332f5cc94f282",
     ("hnf", "Z"): "07a42d7ac96e656e86979ed98f06ff4f774c6033471769fa47b1ca8d4cfce7a5",
-    ("snf", "Z"): "51dce2871c279a5b86be13f6557b53f78a59513b9a5c3a47e606b0dce8a62780",
+    ("snf_d", "Z"): "c1955233557bd6ae5e832352eae9526a2589b846c4c30f99c3656d47b8ac4f88",
+    ("snf_uv", "Z"): "1b6ef9e206df31747eb3a8eb5371d4669a69e4b20b16fc77e82836423601fef9",
     ("kernel", "Z"): "b802af9fb60f15a7bb4898f2b26f0c6b2adf9507dbcb54f2432c42193b3817b3",
     ("det", "Zi"): "5e66c734098968de4f2c749a1eb329912832ea78c10b3ef228c246ec7b168b3d",
     ("hnf", "Zi"): "6fe1bf209e80d2f1bcbe08ff520e2eba4e50c323d496fdeef2391f24be0d5cf1",
-    ("snf", "Zi"): "0e18a46eb7ec7092156c6e334d168ae518720ca904c83d94c734a5316b07911b",
+    ("snf_d", "Zi"): "6a253c75bf07baa6901a9b339d4c4eded85bc86e0867bb33282e0a41b1431abd",
+    ("snf_uv", "Zi"): "5cc8bc92db13b230d2952d05b6acd3a2aa51c0100d5aaf6c47af8c4fc9a2d709",
     ("kernel", "Zi"): "17340d3fa215ef2c380b25eabe471ea8cb801064e7278d89d5dbee751cf59e3d",
     ("det", "Fp[x]/5"): "40b361afa1f7ea78f6202c1e70a93c97dc3482d6e9b8e0061cf3e884843108fc",
     ("hnf", "Fp[x]/5"): "cdb0ac5148c554767842973a64b87fd7e528a1f435e99b56d212e8fae98add93",
-    ("snf", "Fp[x]/5"): "a9a5fc6d731186b7e3135c39346e6130a9575acfb3f426a04cb416223b8f1617",
+    ("snf_d", "Fp[x]/5"): "3a0f723d57826a3152229f44d2ca8d33efadf6d3c640a0cbbfcc4aef0efe4d66",
+    ("snf_uv", "Fp[x]/5"): "4477355a35096be498559f13d023b722bb10bdccbde8027c60b83de50105e807",
     ("kernel", "Fp[x]/5"): "d9a70b7acff24ec0ea2d5c984b2ccd4abe64a1a67d0199f2391480212f6adbe6",
     ("det", "Z/6"): "8e5b141819409c0fb624db803f3168ecd11c794242f993b4d52106b785a58bd4",
     ("hnf", "Z/6"): "d1c57fb37faf242d7c9507731a6971b0d066343406c60e405896b6c27ba26e75",
-    ("snf", "Z/6"): "d40264e50ed236dc3dc42bda5231b5ee74576f2c4f3f14ae8975bb5512fdd6d8",
+    ("snf_d", "Z/6"): "daffe2a6bdce7504a01b3c6a2c9b095ecce6af9bdec8f31e857f456f6057416c",
+    ("snf_uv", "Z/6"): "b1f504a7c10a5886dec4675c951237cef2b2b436b8b0e55485489eba2007c49f",
     ("kernel", "Z/6"): "66e8983d6860accebc5f7b79ecc508a9a47fc72d9c341cdf492d097788388276",
 }
 
@@ -370,13 +408,15 @@ def normal_form_digests(ring_text):
     rng = random.Random(f"normal-form-pins:{ring_text}")
     pool = ring.take(7) + [ring.zero] * 4
     shapes = [(3, 3), (4, 4), (5, 5), (3, 5), (5, 3), (4, 6), (6, 6), (8, 8), (7, 10)]
-    out = {"det": [], "hnf": [], "snf": [], "kernel": []}
+    out = {"det": [], "hnf": [], "snf_d": [], "snf_uv": [], "kernel": []}
     for rows, cols in shapes:
         a = Matrix(ring, [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)])
         if rows == cols:
             out["det"].append(ring.format(a.det()))
         out["hnf"].extend(format_matrix(m) for m in hermite_normal_form(a))
-        out["snf"].extend(format_matrix(m) for m in smith_normal_form(a))
+        d, u, v = smith_normal_form(a)
+        out["snf_d"].append(format_matrix(d))
+        out["snf_uv"].extend((format_matrix(u), format_matrix(v)))
         out["kernel"].extend(format_vector(ring, v) for v in kernel_basis(a).basis)
         out["kernel"].append("|")
     return {k: hashlib.sha256("\n".join(v).encode()).hexdigest() for k, v in out.items()}
