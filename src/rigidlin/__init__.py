@@ -32,7 +32,6 @@ from .matrix import (
 )
 from .normal_forms import (
     KernelModule,
-    annihilating_functionals,
     hermite_normal_form,
     in_row_span,
     kernel_basis,
@@ -91,7 +90,6 @@ __all__ = [
     "UnsupportedRingError",
     "WitnessReport",
     "WordToken",
-    "annihilating_functionals",
     "assemble_block",
     "block_unipotent_witnesses",
     "build_shear",

@@ -1,23 +1,28 @@
 """Hermite and Smith normal forms, kernel modules and solution streams.
 
-The normal forms run over the Euclidean rings (Z, Zi, Fp[x]); residue
-rings are handled by lifting the system to the integers, augmenting with
-the modulus relations, and reducing back.  There is one elimination
-engine, the row Hermite form: it pivots on the entry of smallest nonzero
-norm (ties broken by lowest row index) and reduces the entries above each
-pivot, which keeps the transforms deterministic and their entries small.
-The Smith form is built from it by alternating Hermite passes on the rows
-and on the columns (Kannan–Bachem).
+The normal forms run over the Euclidean rings (Z, Zi, Fp[x]).  Over a
+residue ring Z/m they are the integer forms of the lifted matrix reduced
+mod m, with each Smith diagonal entry normalised to its gcd with m;
+kernels over Z/m lift the system augmented with the modulus relations.
+There is one elimination engine, the row Hermite form: it pivots on the
+entry of smallest nonzero norm (ties broken by lowest row index) and
+reduces the entries above each pivot, which keeps the transforms
+deterministic and their entries small.  The Smith form is built from it
+by alternating Hermite passes on the rows and on the columns
+(Kannan–Bachem).
 
 Kernels are returned as ``KernelModule`` values and expanded into
 pairwise-distinct solution streams by walking coefficient tuples in the
-ring's documented enumeration order.  Every streamed vector is
-re-verified against the defining matrix before it is emitted.
+ring's documented enumeration order.  Each identity is checked once,
+where it is emitted: A v = 0 on every kernel generator, and again on
+every vector a solution stream yields, since a stream of combinations
+is a separate emission.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -156,51 +161,64 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
 
     D is reached by alternating Hermite passes on the rows and on the
     columns of A; where d_i does not divide a later d_j, row j is added to
-    row i and the alternation resumes.
+    row i and the alternation resumes.  Over Z/m each d_i is then replaced
+    by gcd(d_i, m), its canonical associate, so equivalent matrices share D.
     """
-    return _normal_form(a, "Smith form", _snf_core)
+    d, u, v = _normal_form(a, "Smith form", _snf_core)
+    if isinstance(a.ring, Modular):
+        d, u = _residue_diagonal(a.ring, d, u)
+    return d, u, v
+
+
+def _residue_diagonal(ring: Modular, d: Matrix, u: Matrix) -> tuple[Matrix, Matrix]:
+    """Make the Smith diagonal over Z/m canonical: each d_i is w gcd(d_i, m)
+    for a unit w, so D_ii becomes gcd(d_i, m) mod m and row i of U is
+    scaled by w^-1, which keeps U A V = D."""
+    m = ring.modulus
+    d_rows = [list(row) for row in d.entries]
+    u_rows = [list(row) for row in u.entries]
+    for i in range(min(d.rows, d.cols)):
+        g = math.gcd(d_rows[i][i], m)
+        step = m // g
+        w = next(w for w in range(d_rows[i][i] // g % step, m, step) if math.gcd(w, m) == 1)
+        d_rows[i][i] = g % m
+        w_inv = pow(w, -1, m)
+        u_rows[i] = [x * w_inv % m for x in u_rows[i]]
+    return (Matrix._raw(ring, tuple(map(tuple, d_rows))),
+            Matrix._raw(ring, tuple(map(tuple, u_rows))))
 
 
 def kernel_basis(a: Matrix) -> KernelModule:
     """Generators of the right kernel {x : A x = 0}.
 
-    Euclidean rings: the rows of the Hermite transform of A^T that map to
-    zero rows form a basis of the kernel (complete, not just finite
-    index).  Residue rings: solve A x + m k = 0 over the integers and
-    project, per the augmented-congruence construction.
+    The rows of the Hermite transform of the transpose that face zero
+    rows of H generate the kernel.  Euclidean rings: those rows are a
+    basis (complete, not just finite index).  Residue rings Z/m: the
+    system is lifted to [A | m I] over the integers, and the rows are cut
+    to their first A.cols entries and reduced mod m, per the
+    augmented-congruence construction; zero and repeated ones are dropped.
+    Each generator is checked once, A v = 0 over the ring of A.
     """
     ring = a.ring
     if isinstance(ring, Modular):
-        ints = Integers()
         m = ring.modulus
-        rows = []
-        for i, row in enumerate(a.entries):
-            aug = [m if k == i else 0 for k in range(a.rows)]
-            rows.append(list(row) + aug)
-        lifted = kernel_basis(Matrix(ints, rows))
-        gens = []
-        seen = set()
-        for vec in lifted.basis:
-            proj = tuple(x % m for x in vec[: a.cols])
-            if any(proj) and proj not in seen:
-                seen.add(proj)
-                gens.append(proj)
-        for g in gens:
-            if not vec_is_zero(ring, a.apply(g)):
-                raise IdentityViolation("projected kernel generator failed A v = 0")
-        return KernelModule(ring, a.cols, tuple(gens))
-    if not ring.is_euclidean:
+        lifted = Matrix._raw(Integers(), tuple(
+            row + tuple(m if k == i else 0 for k in range(a.rows))
+            for i, row in enumerate(a.entries)))
+    elif ring.is_euclidean:
+        lifted = a
+    else:
         raise UnsupportedRingError(f"no kernel computation over {ring.descriptor}")
-    h, u = hermite_normal_form(a.transpose())
-    z = ring.zero
-    basis = []
-    for i in range(h.rows):
-        if all(x == z for x in h.row(i)):
-            basis.append(u.row(i))
+    h, u = hermite_normal_form(lifted.transpose())
+    z = lifted.ring.zero
+    rows = (v for hrow, v in zip(h.entries, u.entries) if all(x == z for x in hrow))
+    if lifted is not a:
+        rows = (tuple(x % m for x in v[: a.cols]) for v in rows)
+    basis = tuple(v for v in dict.fromkeys(rows) if not vec_is_zero(ring, v))
     for vec in basis:
         if not vec_is_zero(ring, a.apply(vec)):
             raise IdentityViolation("kernel basis vector failed A v = 0")
-    return KernelModule(ring, a.cols, tuple(basis))
+    return KernelModule(ring, a.cols, basis)
 
 
 def coefficient_tuples(ring: Ring, k: int) -> Iterator[tuple]:
@@ -223,7 +241,7 @@ def coefficient_tuples(ring: Ring, k: int) -> Iterator[tuple]:
         grade += 1
 
 
-def combination_stream(kernel: KernelModule, count: int, check=None) -> Iterator[tuple]:
+def combination_stream(kernel: KernelModule, count: int) -> Iterator[tuple]:
     """Up to ``count`` pairwise-distinct nonzero module elements spanned by
     the kernel generators, in coefficient-enumeration order."""
     if count <= 0 or not kernel.basis:
@@ -232,7 +250,6 @@ def combination_stream(kernel: KernelModule, count: int, check=None) -> Iterator
     width = kernel.ambient_dim
     zero = tuple(ring.zero for _ in range(width))
     seen = set()
-    emitted = 0
     for coeffs in coefficient_tuples(ring, len(kernel.basis)):
         vec = zero
         for c, gen in zip(coeffs, kernel.basis):
@@ -241,68 +258,38 @@ def combination_stream(kernel: KernelModule, count: int, check=None) -> Iterator
         if vec == zero or vec in seen:
             continue
         seen.add(vec)
-        if check is not None:
-            check(vec)
         yield vec
-        emitted += 1
-        if emitted >= count:
+        if len(seen) >= count:
             return
 
 
 def solution_stream(a: Matrix, count: int) -> Iterator[tuple]:
-    """Pairwise-distinct nonzero solutions of A x = 0, re-verified on emission.
+    """Pairwise-distinct nonzero solutions of A x = 0, each checked on emission.
 
     The stream ends early only when the kernel is finite (finite ring or
     trivial kernel)."""
-    kernel = kernel_basis(a)
-
-    def check(vec):
+    for vec in combination_stream(kernel_basis(a), count):
         if not vec_is_zero(a.ring, a.apply(vec)):
             raise IdentityViolation("streamed solution failed A v = 0")
-
-    yield from combination_stream(kernel, count, check)
-
-
-def annihilating_functionals(ring: Ring, dim: int, constraints, count: int) -> Iterator[tuple]:
-    """Row functionals f on ring^dim with f(u) = 0 for every constraint u.
-
-    Implemented as the solution stream of the matrix whose rows are the
-    constraints; with no constraints every functional qualifies."""
-    vectors = [tuple(u) for u in constraints]
-    for u in vectors:
-        if len(u) != dim:
-            raise ValueError("constraint length does not match the dimension")
-    if not vectors:
-        basis = tuple(
-            tuple(ring.one if i == j else ring.zero for j in range(dim)) for i in range(dim)
-        )
-        yield from combination_stream(KernelModule(ring, dim, basis), count)
-        return
-    yield from solution_stream(Matrix(ring, vectors), count)
+        yield vec
 
 
 def principal_kernel_family(ring: Ring, a, b, count: int) -> Iterator[tuple]:
     """Kernel elements of the 1x2 map (x, y) -> a x + b y over rings where
-    a general kernel basis is not computable: the family c * (b, -a).
+    a general kernel basis is not computable: the family c * (b, -a),
+    streamed from that one generator and each checked on emission.
 
     For the zero map the whole rank-2 module is streamed instead."""
     ring.check(a)
     ring.check(b)
     if a == ring.zero and b == ring.zero:
         basis = ((ring.one, ring.zero), (ring.zero, ring.one))
-        yield from combination_stream(KernelModule(ring, 2, basis), count)
-        return
-    emitted = 0
-    for c in ring.elements():
-        if c == ring.zero:
-            continue
-        vec = (ring.mul(b, c), ring.neg(ring.mul(a, c)))
+    else:
+        basis = ((b, ring.neg(a)),)
+    for vec in combination_stream(KernelModule(ring, 2, basis), count):
         if ring.add(ring.mul(a, vec[0]), ring.mul(b, vec[1])) != ring.zero:
             raise IdentityViolation("kernel family member failed f(v) = 0")
         yield vec
-        emitted += 1
-        if emitted >= count:
-            return
 
 
 def in_row_span(ring: Ring, rows, vec: tuple) -> bool:

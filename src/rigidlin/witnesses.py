@@ -3,8 +3,9 @@
 Three constructions, all emitted through fail-fast verification:
 
 * first-row shears ``(1, f; 0, I)``, held as functionals f annihilating
-  the first columns of the conjugating matrices; each emission is checked
-  to lie in every conjugated stabilizer, each conjugate on its first row;
+  the first columns of the conjugating matrices; each emission, and each
+  conjugate by a stabilizer element, is checked to lie in every
+  conjugated stabilizer;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form;
 * upper block-unipotent matrices ``(I, A; 0, I)`` over the symmetry class
@@ -26,12 +27,7 @@ from typing import Iterator
 from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
 from .matrix import Matrix, assemble_block, outer_product, unit_vector, vec_dot, vec_neg
-from .normal_forms import (
-    KernelModule,
-    annihilating_functionals,
-    combination_stream,
-    kernel_basis,
-)
+from .normal_forms import KernelModule, combination_stream, kernel_basis
 from .rings import Ring
 
 
@@ -127,15 +123,20 @@ def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
 def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[ShearWitness]:
     """Shears lying in the stabilizer of e1 and in every conjugated copy.
 
-    Functionals come from the annihilator of the projected images; each
+    Functionals are streamed from the kernel of the matrix whose rows are
+    the projected images (every functional when there are none); each
     shear T is verified to fix every image g e1 (T v = v exactly when
     f(tail of v) = 0) before it is yielded: g^-1 * T * g * e1 == e1.
     The stream is infinite over an infinite ring whenever the number of
     conjugators is at most size - 2.
     """
-    ring = ctx.ring
-    for functional in annihilating_functionals(ring, ctx.size - 1, ctx.projected_images, count):
-        for tail in ctx.projected_images:
+    ring, images = ctx.ring, ctx.projected_images
+    if images:
+        kernel = kernel_basis(Matrix._raw(ring, images))
+    else:
+        kernel = KernelModule(ring, ctx.size - 1, Matrix.identity(ring, ctx.size - 1).entries)
+    for functional in combination_stream(kernel, count):
+        for tail in images:
             if vec_dot(ring, functional, tail) != ring.zero:
                 raise IdentityViolation("shear escaped a conjugated stabilizer")
         yield ShearWitness(ring, functional)
@@ -147,12 +148,12 @@ def conjugate_by_stabilizer(
     """Conjugate a shear by a stabilizer element q = (1, x; 0, A).
 
     q is prepared for ctx, or a bare ``Matrix`` that is prepared first.
-    The result is the shear T' with functional f' = f*A.  As q e1 = e1,
-    q * T' and T * q can differ only in the first row, (1, x + f') against
-    (1, x) + (0, f)*q; that row, with (0, f)*q taken from the rows of q, is
-    asserted equal (equivalent to T' = q^-1 * T * q, q being invertible), as
-    is f' annihilating every projected image.  A failed assertion means a
-    broken identity, never a bad input.
+    The result is T' = q^-1 * T * q, the shear with functional f' = f*A:
+    as q e1 = e1, q * T' and T * q agree off the first row, and there
+    (1, x + f') = (1, x) + (0, f)*q.  The one check is that f' annihilates
+    every projected image, which makes T' a member of the intersection
+    whatever shear it came from (``build_shear`` takes any functional).  A
+    failed check means a broken identity, never a bad input.
     """
     if isinstance(q, Matrix):
         q = PreparedConjugator(ctx, q)
@@ -160,9 +161,6 @@ def conjugate_by_stabilizer(
         raise ValueError("conjugator was prepared for another context")
     ring = ctx.ring
     functional = tuple(vec_dot(ring, witness.functional, col) for col in q.lower_columns)
-    first_row = tuple(vec_dot(ring, witness.functional, col) for col in zip(*q.matrix.entries[1:]))
-    if first_row != (ring.zero,) + functional:
-        raise IdentityViolation("conjugated shear failed q * T' == T * q")
     for u in ctx.projected_images:
         if vec_dot(ring, functional, u) != ring.zero:
             raise IdentityViolation("conjugated functional does not annihilate an image")

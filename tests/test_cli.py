@@ -164,15 +164,16 @@ def test_python_dash_m_runs_the_cli():
     assert "suite abelian-s over Z: pass" in run.stdout
 
 
-def _functionals_not_annihilating(ring, dim, constraints, count):
+def _functionals_not_annihilating(kernel, count):
     """Annihilating functionals with one added to each coordinate: their
     shears no longer fix the conjugated images."""
-    for f in rigidlin.normal_forms.annihilating_functionals(ring, dim, constraints, count):
+    ring = kernel.ring
+    for f in rigidlin.normal_forms.combination_stream(kernel, count):
         yield tuple(ring.add(c, ring.one) for c in f)
 
 
 def test_identity_violation_in_suite_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+    monkeypatch.setattr(rigidlin.witnesses, "combination_stream",
                         _functionals_not_annihilating)
     code, out, _ = run_cli(capsys, "verify", "lemma-ke", "--trials", "2", "--count", "3")
     assert code == 1
@@ -180,7 +181,7 @@ def test_identity_violation_in_suite_exits_one(capsys, monkeypatch):
 
 
 def test_identity_violation_escaping_a_command_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+    monkeypatch.setattr(rigidlin.witnesses, "combination_stream",
                         _functionals_not_annihilating)
     code, out, err = run_cli(capsys, "witness", "--group", "en", "--n", "3",
                              "--conjugators", "e(2,1,1)", "--count", "2")

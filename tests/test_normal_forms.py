@@ -5,15 +5,16 @@ import random
 
 import pytest
 
+import rigidlin
 from rigidlin import (
     GaussianIntegers,
+    IdentityViolation,
     IntegerPolynomials,
     Integers,
     Matrix,
     Modular,
     PrimeFieldPolynomials,
     UnsupportedRingError,
-    annihilating_functionals,
     hermite_normal_form,
     in_row_span,
     kernel_basis,
@@ -227,6 +228,35 @@ def test_snf_modular_lift():
     assert m6.is_unit(u.det()) and m6.is_unit(v.det())
 
 
+def test_snf_residue_diagonal_is_canonical():
+    # 4 = 5 * 2 with 5 a unit mod 6: the two 1x1 matrices are equivalent
+    m6 = Modular(6)
+    d4, u, v = smith_normal_form(parse_matrix(m6, "4"))
+    assert d4 == smith_normal_form(parse_matrix(m6, "2"))[0] == parse_matrix(m6, "2")
+    assert u @ parse_matrix(m6, "4") @ v == d4
+
+
+def _random_invertible(rng, ring, n):
+    while True:
+        p = Matrix(ring, [[rng.randrange(ring.modulus) for _ in range(n)] for _ in range(n)])
+        if ring.is_unit(p.det()):
+            return p
+
+
+@pytest.mark.parametrize("modulus", [6, 12])
+def test_snf_residue_diagonal_invariant_under_equivalence(modulus):
+    ring = Modular(modulus)
+    rng = random.Random(113 + modulus)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a = Matrix(ring, [[rng.randrange(modulus) for _ in range(cols)] for _ in range(rows)])
+        d, u, v = smith_normal_form(a)
+        assert u @ a @ v == d
+        assert ring.is_unit(u.det()) and ring.is_unit(v.det())
+        changed = _random_invertible(rng, ring, rows) @ a @ _random_invertible(rng, ring, cols)
+        assert smith_normal_form(changed)[0] == d, a.entries
+
+
 @pytest.mark.parametrize("n", [16, 24])
 def test_snf_transforms_stay_near_hnf_size(n):
     # the Smith transforms come out of reduced Hermite passes, so their
@@ -255,6 +285,25 @@ def test_snf_diagonal_matches_sympy():
         expected = [int(x) for x in invariant_factors(sympy.Matrix(grid), domain=ZZ)]
         expected += [0] * (width - len(expected))
         assert [d.entries[i][i] for i in range(width)] == expected, grid
+
+
+def test_hnf_row_span_matches_sympy():
+    # sympy's Hermite form is column-style: the columns of hnf(A^T) span
+    # the row lattice of A, which the rows of our H must span as well
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+    rng = random.Random(127)
+    for k in range(200):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        grid = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if k % 3 == 0 and rows > 1:  # rank deficient: one row a multiple of another
+            grid[-1] = [rng.randint(-2, 2) * x for x in grid[0]]
+        ours = hermite_normal_form(Matrix(Z, grid))[0].entries
+        h = sympy_hnf(sympy.Matrix(grid).T)
+        theirs = [tuple(int(x) for x in h.col(j)) for j in range(h.cols)]
+        assert all(in_row_span(Z, theirs, row) for row in ours), grid
+        assert all(in_row_span(Z, ours, col) for col in theirs), grid
 
 
 # -- kernels -----------------------------------------------------------------
@@ -323,24 +372,6 @@ def test_solution_stream_finite_ring_terminates():
     assert set(found) == kernel - {(0, 0)}
 
 
-def test_annihilating_functionals_examples():
-    assert list(annihilating_functionals(Z, 2, [(1, 0)], 2)) == [(0, 1), (0, -1)]
-    # shell order on coefficient pairs: (0,1), (1,0), (1,1), then height two
-    unconstrained = list(annihilating_functionals(Z, 2, [], 4))
-    assert unconstrained == [(0, 1), (1, 0), (1, 1), (0, -1)]
-    family = list(annihilating_functionals(Z, 3, [(1, 0, 0), (0, 1, 0)], 4))
-    assert family == [(0, 0, 1), (0, 0, -1), (0, 0, 2), (0, 0, -2)]
-
-
-def test_annihilating_functionals_annihilate():
-    rng = random.Random(47)
-    for _ in range(20):
-        constraints = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(2)]
-        for f in annihilating_functionals(Z, 4, constraints, 10):
-            for u in constraints:
-                assert sum(x * y for x, y in zip(f, u)) == 0
-
-
 def test_principal_kernel_family():
     zx = IntegerPolynomials()
     a, b = zx.parse("x+1"), zx.parse("2*x")
@@ -348,9 +379,44 @@ def test_principal_kernel_family():
     assert len(set(found)) == 30
     for v in found:
         assert zx.add(zx.mul(a, v[0]), zx.mul(b, v[1])) == zx.zero
+    # the family c * (b, -a), c walking the nonzero elements in order
+    multipliers = [c for c in zx.take(31) if c != zx.zero]
+    assert found == [(zx.mul(b, c), zx.neg(zx.mul(a, c))) for c in multipliers]
     # zero map: the whole rank-2 module qualifies
     everything = list(principal_kernel_family(zx, zx.zero, zx.zero, 10))
     assert len(set(everything)) == 10
+
+
+def _every_unit_vector_in_the_kernel(a):
+    """A Hermite form of zero rows only: every unit vector faces a zero row."""
+    return Matrix.zeros(a.ring, a.rows, a.cols), Matrix.identity(a.ring, a.rows)
+
+
+@pytest.mark.parametrize("ring", [Z, Modular(6)], ids=["Z", "Z/6"])
+def test_kernel_basis_checks_each_generator(monkeypatch, ring):
+    monkeypatch.setattr(rigidlin.normal_forms, "hermite_normal_form",
+                        _every_unit_vector_in_the_kernel)
+    with pytest.raises(IdentityViolation, match="kernel basis vector failed A v = 0"):
+        kernel_basis(parse_matrix(ring, "1,2;3,1"))
+
+
+_combination_stream = rigidlin.normal_forms.combination_stream
+
+
+def _off_by_one_stream(kernel, count):
+    """The kernel's combinations with one added to each coordinate."""
+    ring = kernel.ring
+    for v in _combination_stream(kernel, count):
+        yield tuple(ring.add(x, ring.one) for x in v)
+
+
+def test_streams_check_each_emitted_vector(monkeypatch):
+    monkeypatch.setattr(rigidlin.normal_forms, "combination_stream", _off_by_one_stream)
+    with pytest.raises(IdentityViolation, match="streamed solution failed A v = 0"):
+        list(solution_stream(parse_matrix(Z, "2,3"), 3))
+    zx = IntegerPolynomials()
+    with pytest.raises(IdentityViolation, match="kernel family member failed"):
+        list(principal_kernel_family(zx, zx.parse("x+1"), zx.parse("2*x"), 3))
 
 
 def test_in_row_span():
@@ -378,7 +444,9 @@ def test_gaussian_kernel_stream():
 # The Smith form is split: its diagonal D is unique and keeps the digest it
 # had under the earlier pivot-and-sweep engine ("snf_d"), while the
 # transforms U and V are not unique and are pinned as the alternating
-# Hermite passes produce them ("snf_uv").
+# Hermite passes produce them ("snf_uv").  Over Z/6 both are pinned with
+# each d_i normalised to gcd(d_i, 6), which changes D on three shapes:
+# 3x5 [1,1,5] -> [1,1,1], 5x3 [1,1,4] -> [1,1,2], 6x6 [...,2,4] -> [...,2,2].
 PINNED_NORMAL_FORMS = {
     ("det", "Z"): "50881ff5488ad9207cceb27d4acfdcadb3194a3c3e3509329e0332f5cc94f282",
     ("hnf", "Z"): "07a42d7ac96e656e86979ed98f06ff4f774c6033471769fa47b1ca8d4cfce7a5",
@@ -397,8 +465,8 @@ PINNED_NORMAL_FORMS = {
     ("kernel", "Fp[x]/5"): "d9a70b7acff24ec0ea2d5c984b2ccd4abe64a1a67d0199f2391480212f6adbe6",
     ("det", "Z/6"): "8e5b141819409c0fb624db803f3168ecd11c794242f993b4d52106b785a58bd4",
     ("hnf", "Z/6"): "d1c57fb37faf242d7c9507731a6971b0d066343406c60e405896b6c27ba26e75",
-    ("snf_d", "Z/6"): "daffe2a6bdce7504a01b3c6a2c9b095ecce6af9bdec8f31e857f456f6057416c",
-    ("snf_uv", "Z/6"): "b1f504a7c10a5886dec4675c951237cef2b2b436b8b0e55485489eba2007c49f",
+    ("snf_d", "Z/6"): "64db1dce9fd455de3779f3144e4bbefb8e2e618efe977cb99810ce1bb9ee69fd",
+    ("snf_uv", "Z/6"): "f1914525c888a6ad870fd2ffaec351d56345e6a9ba52bdb4f260e70668d1f1af",
     ("kernel", "Z/6"): "66e8983d6860accebc5f7b79ecc508a9a47fc72d9c341cdf492d097788388276",
 }
 

@@ -150,16 +150,17 @@ def test_emitter_checked_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_EMITTER_REPORTS[suite, ring_text]
 
 
-def _functionals_not_annihilating(ring, dim, constraints, count):
+def _functionals_not_annihilating(kernel, count):
     """Annihilating functionals with one added to each coordinate: their
     shears no longer fix the conjugated images."""
-    for f in rigidlin.normal_forms.annihilating_functionals(ring, dim, constraints, count):
+    ring = kernel.ring
+    for f in rigidlin.normal_forms.combination_stream(kernel, count):
         yield tuple(ring.add(c, ring.one) for c in f)
 
 
 @pytest.mark.parametrize("suite", ["lemma-ke", "lemma-new"])
 def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
-    monkeypatch.setattr(rigidlin.witnesses, "annihilating_functionals",
+    monkeypatch.setattr(rigidlin.witnesses, "combination_stream",
                         _functionals_not_annihilating)
     params = {"n": 3, "trials": 2, "need": 4, "seed": 1}
     if suite == "lemma-new":
@@ -173,7 +174,8 @@ def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
 
 class _ConjugatorWithWrongLowerColumns(PreparedConjugator):
     """A prepared conjugator whose lower columns, from which conjugated
-    functionals are computed, have one added to each entry of its matrix's."""
+    functionals are computed, have one added to each entry of its matrix's:
+    the block no longer fixes the images' tails."""
 
     def __init__(self, ctx, q):
         super().__init__(ctx, q)
@@ -183,14 +185,14 @@ class _ConjugatorWithWrongLowerColumns(PreparedConjugator):
 
 
 def test_broken_conjugate_is_a_reported_failure(monkeypatch):
-    # the conjugated functional no longer matches q, so q * T' != T * q
+    # f' = f * (A + J) no longer annihilates the images that A fixes
     monkeypatch.setattr(rigidlin.suites, "PreparedConjugator", _ConjugatorWithWrongLowerColumns)
     report = run_suite("lemma-new", Z,
                        {"n": 3, "trials": 2, "need": 4, "conjugators": 3, "seed": 1})
     assert report.verdict == "fail"
     assert len(report.failures) == 6  # one per conjugator and trial
     assert all(f["expected"] == "closed under conjugation" for f in report.failures)
-    assert all("q * T' == T * q" in f["got"] for f in report.failures)
+    assert all("does not annihilate an image" in f["got"] for f in report.failures)
     assert report.samples == []
 
 

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from rigidlin import (
+    IdentityViolation,
     Integers,
     Matrix,
     Modular,
@@ -71,6 +72,30 @@ def test_intersection_witnesses_pinned_example():
         assert g_inv.apply(w.matrix.apply(g.apply(e1))) == e1
 
 
+def test_intersection_witness_functionals_examples():
+    # one image with tail (1, 0): the functionals are the (0, c) family
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    assert [w.functional for w in intersection_witnesses(ctx, 2)] == [(0, 1), (0, -1)]
+    # no images: shell order on coefficient pairs, (0,1), (1,0), (1,1), then height two
+    unconstrained = [w.functional for w in intersection_witnesses(StabilizerContext(Z, 3), 4)]
+    assert unconstrained == [(0, 1), (1, 0), (1, 1), (0, -1)]
+    # tails (1, 0, 0) and (0, 1, 0)
+    two = StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 2, 1, 1),
+                                   elementary_matrix(Z, 4, 3, 1, 1)))
+    family = [w.functional for w in intersection_witnesses(two, 4)]
+    assert family == [(0, 0, 1), (0, 0, -1), (0, 0, 2), (0, 0, -2)]
+
+
+def test_intersection_witnesses_annihilate_random_images():
+    rng = random.Random(47)
+    for _ in range(20):
+        words = [random_elementary_word(rng, Z, 5, 4) for _ in range(2)]
+        ctx = StabilizerContext(Z, 5, tuple(w.evaluate() for w in words))
+        for w in intersection_witnesses(ctx, 10):
+            for u in ctx.projected_images:
+                assert sum(x * y for x, y in zip(w.functional, u)) == 0
+
+
 def test_intersection_witnesses_unconstrained():
     ctx = StabilizerContext(Z, 3, (Matrix.identity(Z, 3),))
     found = list(itertools.islice(intersection_witnesses(ctx, 6), 6))
@@ -134,6 +159,16 @@ def test_conjugate_rejects_non_stabilizer():
     with pytest.raises(ValueError):
         bad = parse_matrix(Z, "1,0,0;0,2,0;0,0,1")  # determinant 2
         conjugate_by_stabilizer(witness, bad, ctx)
+
+
+def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
+    # build_shear takes any functional: f = (1, 0) does not annihilate the
+    # image tail (1, 0), so no conjugate of its shear is a member
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    outsider = build_shear(Z, 3, (1, 0))
+    for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
+        with pytest.raises(IdentityViolation, match="does not annihilate an image"):
+            conjugate_by_stabilizer(outsider, q, ctx)
 
 
 def test_prepared_conjugator_rejects_bad_input():
