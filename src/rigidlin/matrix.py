@@ -1,8 +1,12 @@
 """Dense exact matrices over a coefficient ring.
 
-Matrices are immutable; every operation returns a fresh matrix.  The
-text format used by the CLI separates rows with ``;`` and entries with
-``,``, each entry in the owning ring's literal grammar.
+Matrices are immutable; every operation returns a fresh matrix.  Products
+go through the ring's row kernel ``dots``: ``A @ B`` is one call per row
+of A over the columns of B, and ``A.apply(v)`` one call over the rows of
+A, so over ``Z`` each entry is a native sum of products.
+
+The text format used by the CLI separates rows with ``;`` and entries
+with ``,``, each entry in the owning ring's literal grammar.
 """
 
 from __future__ import annotations
@@ -77,20 +81,9 @@ class Matrix:
         self._check_same_ring(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ring = self.ring
-        add, mul, z = ring.add, ring.mul, ring.zero
-        bt = tuple(zip(*other.entries))  # columns of other
-        grid = []
-        for row in self.entries:
-            out = []
-            for col in bt:
-                acc = z
-                for x, y in zip(row, col):
-                    if x != z and y != z:
-                        acc = add(acc, mul(x, y))
-                out.append(acc)
-            grid.append(tuple(out))
-        return Matrix._raw(ring, tuple(grid))
+        dots = self.ring.dots
+        columns = tuple(zip(*other.entries))
+        return Matrix._raw(self.ring, tuple([dots(row, columns) for row in self.entries]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_ring(other)
@@ -122,16 +115,7 @@ class Matrix:
         """Matrix-vector product A*v for a length-cols vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        ring = self.ring
-        add, mul, z = ring.add, ring.mul, ring.zero
-        out = []
-        for row in self.entries:
-            acc = z
-            for x, y in zip(row, vec):
-                if x != z and y != z:
-                    acc = add(acc, mul(x, y))
-            out.append(acc)
-        return tuple(out)
+        return self.ring.dots(vec, self.entries)  # the supported rings commute
 
     def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
         grid = tuple(
@@ -298,14 +282,6 @@ def unit_vector(ring: Ring, n: int, index: int) -> tuple:
     return tuple(ring.one if i == index else ring.zero for i in range(n))
 
 
-def vec_add(ring: Ring, u: tuple, v: tuple) -> tuple:
-    return tuple(ring.add(x, y) for x, y in zip(u, v))
-
-
-def vec_scale(ring: Ring, c, u: tuple) -> tuple:
-    return tuple(ring.mul(c, x) for x in u)
-
-
 def vec_neg(ring: Ring, u: tuple) -> tuple:
     return tuple(ring.neg(x) for x in u)
 
@@ -313,10 +289,7 @@ def vec_neg(ring: Ring, u: tuple) -> tuple:
 def vec_dot(ring: Ring, u: tuple, v: tuple):
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
-    acc = ring.zero
-    for x, y in zip(u, v):
-        acc = ring.add(acc, ring.mul(x, y))
-    return acc
+    return ring.dots(u, (v,))[0]
 
 
 def vec_is_zero(ring: Ring, u: tuple) -> bool:

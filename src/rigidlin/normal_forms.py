@@ -2,8 +2,10 @@
 
 The normal forms run over the Euclidean rings (Z, Zi, Fp[x]).  Over a
 residue ring Z/m they are the integer forms of the lifted matrix reduced
-mod m, with each Smith diagonal entry normalised to its gcd with m;
-kernels over Z/m lift the system augmented with the modulus relations.
+mod m, with each Hermite pivot and each Smith diagonal entry normalised
+to its gcd with m; kernels over Z/m lift the system augmented with the
+modulus relations.  Row operations go through the ring's ``axpy``
+kernel, one call per row.
 There is one elimination engine, the row Hermite form: it pivots on the
 entry of smallest nonzero norm (ties broken by lowest row index) and
 reduces the entries above each pivot, which keeps the transforms
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IdentityViolation, UnsupportedRingError
-from .matrix import Matrix, vec_add, vec_is_zero, vec_scale
+from .matrix import Matrix, vec_is_zero
 from .rings import Integers, Modular, Ring
 
 
@@ -46,13 +48,6 @@ class KernelModule:
 
 # -- row operations on (matrix, transform) pairs ----------------------------
 
-def _row_axpy(ring: Ring, rows: list, target: int, source: int, q):
-    """rows[target] -= q * rows[source]; entries facing a zero stay as they are"""
-    sub, mul, z = ring.sub, ring.mul, ring.zero
-    rows[target] = [x if y == z else sub(x, mul(q, y))
-                    for x, y in zip(rows[target], rows[source])]
-
-
 def _row_scale(ring: Ring, rows: list, target: int, u):
     mul = ring.mul
     rows[target] = [mul(u, x) for x in rows[target]]
@@ -68,6 +63,7 @@ def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
     Returns (h, u)."""
     m = len(h)
     z = ring.zero
+    axpy = ring.axpy
     r = 0
     for c in range(len(h[0])):
         if r >= m:
@@ -82,13 +78,14 @@ def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
                 h[r], h[pivot] = h[pivot], h[r]
                 u[r], u[pivot] = u[pivot], u[r]
             clean = True
+            tail = h[r][c:]  # the pivot row is zero before column c
             for i in range(r + 1, m):
                 if h[i][c] == z:
                     continue
                 q, _ = ring.divmod(h[i][c], h[r][c])
                 if q != z:
-                    _row_axpy(ring, h, i, r, q)
-                    _row_axpy(ring, u, i, r, q)
+                    h[i][c:] = axpy(h[i][c:], q, tail)
+                    u[i] = axpy(u[i], q, u[r])
                 if h[i][c] != z:
                     clean = False
             if clean:
@@ -97,12 +94,13 @@ def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
         if cu != ring.one:
             _row_scale(ring, h, r, cu)
             _row_scale(ring, u, r, cu)
+        tail = h[r][c:]
         for i in range(r):
             if h[i][c] != z:
                 q, _ = ring.divmod(h[i][c], h[r][c])
                 if q != z:
-                    _row_axpy(ring, h, i, r, q)
-                    _row_axpy(ring, u, i, r, q)
+                    h[i][c:] = axpy(h[i][c:], q, tail)
+                    u[i] = axpy(u[i], q, u[r])
         r += 1
     return h, u
 
@@ -122,8 +120,9 @@ def _snf_core(ring: Ring, d: list) -> tuple[list, list, list]:
             if offender is None:
                 break
             # row i += row j; the next pass, on the transpose, takes their gcd
-            _row_axpy(ring, work, *offender, minus_one)
-            _row_axpy(ring, transform, *offender, minus_one)
+            i, j = offender
+            work[i] = ring.axpy(work[i], minus_one, work[j])
+            transform[i] = ring.axpy(transform[i], minus_one, transform[j])
         work = [list(col) for col in zip(*work)]
         transform, other = other, transform
     if transform is vt:
@@ -149,11 +148,20 @@ def _normal_form(a: Matrix, name: str, core) -> tuple[Matrix, ...]:
 def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     """Return (H, U) with U*A = H, det(U) a unit, H in row-echelon form.
 
-    Pivots are normalized to their canonical associates (positive over Z,
-    monic over Fp[x]) and the entries above each pivot are reduced.
+    Over the Euclidean rings pivots are normalized to their canonical
+    associates (positive over Z, monic over Fp[x], first quadrant over Zi)
+    and the entries above each pivot are reduced, which makes H canonical.
+    Over Z/m, H is the integer form of the lift reduced mod m, with each
+    row's leading entry h replaced by gcd(h, m) and the entries above it
+    reduced modulo that gcd.  This is not a Howell form: row-equivalent
+    matrices over Z/m can still have different H, and a row whose integer
+    pivot is a multiple of m loses that pivot.
     """
-    return _normal_form(a, "Hermite form",
-                        lambda ring, h: _hnf_core(ring, h, _identity_rows(ring, len(h))))
+    h, u = _normal_form(a, "Hermite form",
+                        lambda ring, rows: _hnf_core(ring, rows, _identity_rows(ring, len(rows))))
+    if isinstance(a.ring, Modular):
+        h, u = _residue_pivots(a.ring, h, u)
+    return h, u
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -166,25 +174,37 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """
     d, u, v = _normal_form(a, "Smith form", _snf_core)
     if isinstance(a.ring, Modular):
-        d, u = _residue_diagonal(a.ring, d, u)
+        d, u = _residue_pivots(a.ring, d, u)
     return d, u, v
 
 
-def _residue_diagonal(ring: Modular, d: Matrix, u: Matrix) -> tuple[Matrix, Matrix]:
-    """Make the Smith diagonal over Z/m canonical: each d_i is w gcd(d_i, m)
-    for a unit w, so D_ii becomes gcd(d_i, m) mod m and row i of U is
-    scaled by w^-1, which keeps U A V = D."""
+def _residue_pivots(ring: Modular, h: Matrix, u: Matrix) -> tuple[Matrix, Matrix]:
+    """Normalise the leading entries of the rows of h over Z/m, applying
+    each row operation to u as well, so U A = H (or U A V = D) still holds.
+
+    The leading entry of row r is w gcd(h, m) for a unit w: row r is
+    scaled by w^-1, and the entries above the new pivot g are reduced
+    modulo g.  On a Smith diagonal this sets each D_ii to gcd(d_i, m).
+    """
     m = ring.modulus
-    d_rows = [list(row) for row in d.entries]
+    h_rows = [list(row) for row in h.entries]
     u_rows = [list(row) for row in u.entries]
-    for i in range(min(d.rows, d.cols)):
-        g = math.gcd(d_rows[i][i], m)
+    for r, row in enumerate(h_rows):
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        g = math.gcd(row[c], m)
         step = m // g
-        w = next(w for w in range(d_rows[i][i] // g % step, m, step) if math.gcd(w, m) == 1)
-        d_rows[i][i] = g % m
+        w = next(w for w in range(row[c] // g % step, m, step) if math.gcd(w, m) == 1)
         w_inv = pow(w, -1, m)
-        u_rows[i] = [x * w_inv % m for x in u_rows[i]]
-    return (Matrix._raw(ring, tuple(map(tuple, d_rows))),
+        _row_scale(ring, h_rows, r, w_inv)
+        _row_scale(ring, u_rows, r, w_inv)
+        for i in range(r):
+            q = h_rows[i][c] // g
+            if q:
+                h_rows[i] = ring.axpy(h_rows[i], q, h_rows[r])
+                u_rows[i] = ring.axpy(u_rows[i], q, u_rows[r])
+    return (Matrix._raw(ring, tuple(map(tuple, h_rows))),
             Matrix._raw(ring, tuple(map(tuple, u_rows))))
 
 
@@ -254,7 +274,8 @@ def combination_stream(kernel: KernelModule, count: int) -> Iterator[tuple]:
         vec = zero
         for c, gen in zip(coeffs, kernel.basis):
             if c != ring.zero:
-                vec = vec_add(ring, vec, vec_scale(ring, c, gen))
+                vec = ring.axpy(vec, ring.neg(c), gen)
+        vec = tuple(vec)
         if vec == zero or vec in seen:
             continue
         seen.add(vec)
@@ -309,6 +330,5 @@ def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
         q, rem = ring.divmod(work[pivot_col], row[pivot_col])
         if rem != z:
             return False
-        for j in range(len(work)):
-            work[j] = ring.sub(work[j], ring.mul(q, row[j]))
+        work = ring.axpy(work, q, row)
     return all(x == z for x in work)

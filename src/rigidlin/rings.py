@@ -15,6 +15,16 @@ through the ring object that owns it:
   products, and every product over ``Z``, stay schoolbook
 * ``Zi``      -- Gaussian integers as ``(re, im)`` pairs
 
+Besides the scalar operations every ring has two row kernels, which the
+matrix and normal-form layers call once per row instead of once per
+entry: ``dots(u, vs)``, the dot products of u with each vector in vs,
+and ``axpy(xs, q, ys)``, the row ``[x - q*y]``.  The base class runs
+them on ``add``/``mul``/``sub``, skipping zero entries; ``Integers``
+overrides both with native ``int`` arithmetic, and the polynomial rings
+override ``axpy`` with one fused pass per entry over unreduced ``int``
+coefficients (except for products that ``mul`` takes by Kronecker
+substitution).  ``Z/m`` and ``Zi`` keep the base kernels.
+
 Canonical values make equality, hashing and printing unambiguous, which
 the verification suites lean on: two elements are equal exactly when
 their values compare equal.
@@ -36,6 +46,7 @@ stream pairwise-distinct solutions:
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 from abc import ABC, abstractmethod
@@ -80,6 +91,27 @@ class Ring(ABC):
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    # -- row kernels -------------------------------------------------------
+    def dots(self, u, vs) -> tuple:
+        """The tuple of dot products of u with each vector in vs, all of
+        u's length; the zero entries of u are found once, not per vector."""
+        add, mul, z = self.add, self.mul, self.zero
+        terms = [(i, x) for i, x in enumerate(u) if x != z]
+        out = []
+        for v in vs:
+            acc = z
+            for i, x in terms:
+                y = v[i]
+                if y != z:
+                    acc = add(acc, mul(x, y))
+            out.append(acc)
+        return tuple(out)
+
+    def axpy(self, xs, q, ys) -> list:
+        """The row [x - q*y]; entries facing a zero y stay as they are."""
+        sub, mul, z = self.sub, self.mul, self.zero
+        return [x if y == z else sub(x, mul(q, y)) for x, y in zip(xs, ys)]
 
     # -- units -----------------------------------------------------------
     def is_unit(self, a) -> bool:
@@ -179,6 +211,12 @@ class Integers(Ring):
 
     def neg(self, a):
         return -a
+
+    def dots(self, u, vs) -> tuple:
+        return tuple([sum(map(operator.mul, u, v)) for v in vs])
+
+    def axpy(self, xs, q, ys) -> list:
+        return [x - q * y for x, y in zip(xs, ys)]
 
     def unit_inverse(self, a):
         return a if a in (1, -1) else None
@@ -491,6 +529,31 @@ class _PolynomialRing(Ring):
             p = self._modulus
             return tuple(-c % p for c in a)
         return tuple(-c for c in a)
+
+    def axpy(self, xs, q, ys) -> list:
+        """The row [x - q*y], each entry in one pass over unreduced int
+        coefficients reduced mod p once; pairs that mul packs stay
+        sub(x, mul(q, y))."""
+        if not q:
+            return list(xs)
+        p = self._modulus
+        # the shortest y that mul packs with q (never, over Z or for constant q)
+        packs_at = max(2, -(-_KRONECKER_MIN_WORK // len(q))) if p and len(q) > 1 else sys.maxsize
+        terms = [(i, c) for i, c in enumerate(q) if c]
+        out = []
+        for x, y in zip(xs, ys):
+            if not y:
+                out.append(x)
+            elif len(y) >= packs_at:
+                out.append(self.sub(x, self.mul(q, y)))
+            else:
+                acc = list(x)
+                acc.extend([0] * (len(q) + len(y) - 1 - len(x)))
+                for i, c in terms:
+                    for j, b in enumerate(y, i):
+                        acc[j] -= c * b
+                out.append(_strip([c % p for c in acc] if p else acc))
+        return out
 
     def elements(self):
         yield ()

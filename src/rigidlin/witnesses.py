@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
-from .matrix import Matrix, assemble_block, outer_product, unit_vector, vec_dot, vec_neg
+from .matrix import Matrix, assemble_block, outer_product, unit_vector, vec_is_zero, vec_neg
 from .normal_forms import KernelModule, combination_stream, kernel_basis
 from .rings import Ring
 
@@ -136,9 +136,8 @@ def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[Shear
     else:
         kernel = KernelModule(ring, ctx.size - 1, Matrix.identity(ring, ctx.size - 1).entries)
     for functional in combination_stream(kernel, count):
-        for tail in images:
-            if vec_dot(ring, functional, tail) != ring.zero:
-                raise IdentityViolation("shear escaped a conjugated stabilizer")
+        if not vec_is_zero(ring, ring.dots(functional, images)):
+            raise IdentityViolation("shear escaped a conjugated stabilizer")
         yield ShearWitness(ring, functional)
 
 
@@ -160,10 +159,11 @@ def conjugate_by_stabilizer(
     elif q.context is not ctx:
         raise ValueError("conjugator was prepared for another context")
     ring = ctx.ring
-    functional = tuple(vec_dot(ring, witness.functional, col) for col in q.lower_columns)
-    for u in ctx.projected_images:
-        if vec_dot(ring, functional, u) != ring.zero:
-            raise IdentityViolation("conjugated functional does not annihilate an image")
+    if len(witness.functional) != ctx.size - 1:
+        raise ValueError(f"shear functional length {len(witness.functional)} != {ctx.size - 1}")
+    functional = ring.dots(witness.functional, q.lower_columns)
+    if not vec_is_zero(ring, ring.dots(functional, ctx.projected_images)):
+        raise IdentityViolation("conjugated functional does not annihilate an image")
     return ShearWitness(ring, functional)
 
 

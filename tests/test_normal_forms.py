@@ -109,6 +109,34 @@ def test_hnf_modular_lift():
     assert m6.is_unit(u.det())
 
 
+def test_hnf_residue_pivots_are_canonical():
+    # 4 = 5 * 2 over Z/6 with 5 a unit, so the two rows are equivalent
+    m6 = Modular(6)
+    for text in ("4", "2"):
+        a = parse_matrix(m6, text)
+        h, u = hermite_normal_form(a)
+        assert h == parse_matrix(m6, "2")
+        assert u @ a == h
+
+
+@pytest.mark.parametrize("modulus", [6, 12])
+def test_hnf_residue_pivots_contract(modulus):
+    ring = Modular(modulus)
+    rng = random.Random(f"hnf-residue:{modulus}")
+    for _ in range(80):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = Matrix(ring, [[rng.randrange(modulus) for _ in range(cols)] for _ in range(rows)])
+        h, u = hermite_normal_form(a)
+        assert u @ a == h
+        assert ring.is_unit(u.det())
+        for r, row in enumerate(h.entries):
+            c = next((j for j, x in enumerate(row) if x), None)
+            if c is None:
+                continue
+            assert modulus % row[c] == 0  # each leading entry divides m
+            assert all(h.entries[i][c] < row[c] for i in range(r))
+
+
 def test_hnf_unsupported_ring():
     with pytest.raises(UnsupportedRingError):
         hermite_normal_form(parse_matrix(IntegerPolynomials(), "x,1"))
@@ -447,6 +475,9 @@ def test_gaussian_kernel_stream():
 # Hermite passes produce them ("snf_uv").  Over Z/6 both are pinned with
 # each d_i normalised to gcd(d_i, 6), which changes D on three shapes:
 # 3x5 [1,1,5] -> [1,1,1], 5x3 [1,1,4] -> [1,1,2], 6x6 [...,2,4] -> [...,2,2].
+# The Z/6 Hermite forms are pinned with each leading entry h normalised to
+# gcd(h, 6) and the entries above it reduced modulo that gcd, which changes
+# H on eight of the nine shapes (all but 4x4).
 PINNED_NORMAL_FORMS = {
     ("det", "Z"): "50881ff5488ad9207cceb27d4acfdcadb3194a3c3e3509329e0332f5cc94f282",
     ("hnf", "Z"): "07a42d7ac96e656e86979ed98f06ff4f774c6033471769fa47b1ca8d4cfce7a5",
@@ -464,7 +495,7 @@ PINNED_NORMAL_FORMS = {
     ("snf_uv", "Fp[x]/5"): "4477355a35096be498559f13d023b722bb10bdccbde8027c60b83de50105e807",
     ("kernel", "Fp[x]/5"): "d9a70b7acff24ec0ea2d5c984b2ccd4abe64a1a67d0199f2391480212f6adbe6",
     ("det", "Z/6"): "8e5b141819409c0fb624db803f3168ecd11c794242f993b4d52106b785a58bd4",
-    ("hnf", "Z/6"): "d1c57fb37faf242d7c9507731a6971b0d066343406c60e405896b6c27ba26e75",
+    ("hnf", "Z/6"): "25cef8b08f06a8278579dd74a1736813e71082969c83c0b50d3a9236101b9450",
     ("snf_d", "Z/6"): "64db1dce9fd455de3779f3144e4bbefb8e2e618efe977cb99810ce1bb9ee69fd",
     ("snf_uv", "Z/6"): "f1914525c888a6ad870fd2ffaec351d56345e6a9ba52bdb4f260e70668d1f1af",
     ("kernel", "Z/6"): "66e8983d6860accebc5f7b79ecc508a9a47fc72d9c341cdf492d097788388276",

@@ -306,6 +306,62 @@ def test_fp_mul_packs_from_the_threshold_on(monkeypatch, ring, lens, packed):
     assert tried == ([] if packed is None else [packed])
 
 
+def _kernel_pool(rng, ring):
+    if isinstance(ring, rings._PolynomialRing):
+        return [a for pair in _operand_pairs(rng, ring) for a in pair]
+    if isinstance(ring, Integers):
+        return [rng.randint(-10**30, 10**30) for _ in range(40)]
+    if isinstance(ring, GaussianIntegers):
+        return [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(40)]
+    return ring.take(ring.cardinality)
+
+
+@pytest.mark.parametrize("ring", [
+    Integers(), Modular(6), GaussianIntegers(), IntegerPolynomials(),
+    PrimeFieldPolynomials(5), PrimeFieldPolynomials(4294967311),
+], ids=ring_id)
+def test_row_kernels_match_ring_arithmetic(ring):
+    """dots and axpy agree with per-entry add/mul/sub, on vectors with zero
+    entries, with q = 0, with no vectors at all, and on polynomial products
+    either side of the size at which Fp[x] multiplies by Kronecker
+    substitution (4294967311 is too large to pack)."""
+    rng = random.Random(f"row-kernels:{ring.descriptor}")
+    z = ring.zero
+    pool = _kernel_pool(rng, ring)
+
+    def dot(u, v):
+        acc = z
+        for x, y in zip(u, v):
+            acc = ring.add(acc, ring.mul(x, y))
+        return acc
+
+    def axpy(xs, q, ys):
+        return [ring.sub(x, ring.mul(q, y)) for x, y in zip(xs, ys)]
+
+    def vector(n):
+        return tuple(z if rng.random() < 0.3 else rng.choice(pool) for _ in range(n))
+
+    assert ring.dots(vector(3), []) == ()
+    for _ in range(30):
+        n = rng.randint(0, 5)
+        u = vector(n)
+        vs = [vector(n) for _ in range(rng.randint(0, 3))]
+        assert ring.dots(u, vs) == tuple(dot(u, v) for v in vs)
+        for v in vs:
+            for q in (z, rng.choice(pool)):
+                assert ring.axpy(u, q, v) == axpy(u, q, v)
+    if isinstance(ring, rings._PolynomialRing):
+        pairs = [(q, y) for q, y in _operand_pairs(rng, ring) if q and y]
+        if ring.coefficients.cardinality:
+            packs = {len(q) > 1 and len(y) > 1 and len(q) * len(y) >= rings._KRONECKER_MIN_WORK
+                     for q, y in pairs}
+            assert packs == {False, True}
+        for q, y in pairs:
+            xs = [rng.choice(pool), z, rng.choice(pool)]
+            assert ring.axpy(xs, q, [y, y, z]) == axpy(xs, q, [y, y, z])
+            assert ring.dots((q, z), [(y, q)]) == (dot((q, z), (y, q)),)
+
+
 def test_large_prime_is_refused_at_once():
     # primality is decided exactly, by Miller-Rabin, only below about 3.3e24
     with pytest.raises(ValueError, match="too large"):

@@ -191,6 +191,9 @@ def test_prepared_conjugator_rejects_bad_input():
     prepared = PreparedConjugator(other, Matrix.identity(Z, 3))
     with pytest.raises(ValueError, match="another context"):
         conjugate_by_stabilizer(witness, prepared, ctx)
+    # a shear of another size is refused
+    with pytest.raises(ValueError, match="length"):
+        conjugate_by_stabilizer(build_shear(Z, 4, (0, 0, 1)), Matrix.identity(Z, 3), ctx)
 
 
 def test_prepared_conjugator_matches_bare_matrix():
