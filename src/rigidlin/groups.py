@@ -10,7 +10,8 @@ pair (i, j) and (sigma j, sigma i) with a mirrored parameter.
 
 Group membership is carried constructively: elements are generator words
 and matrices are checked only against the invariants (determinant, form
-preservation), never against an abstract membership predicate.
+preservation), never against an abstract membership predicate.  The forms
+act through ``BilinearForm.covector``, a signed swap of the two blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
-from .matrix import Matrix, vec_dot
+from .matrix import Matrix, vec_dot, vec_neg
 from .rings import Ring
 
 WORD_KINDS = ("en", "esp", "eo")
@@ -74,15 +75,7 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
             raise ValueError("the (i, sigma i) generator exists only in the symplectic group")
         grid[i - 1][j - 1] = a
         return Matrix._raw(ring, tuple(map(tuple, grid)))
-    eps = ring.one if epsilon == 1 else ring.neg(ring.one)
-    if i <= n and j <= n:
-        mirrored = a
-    elif i <= n < j:
-        mirrored = ring.mul(eps, a)
-    elif j <= n < i:
-        mirrored = ring.mul(a, eps)
-    else:
-        mirrored = a
+    mirrored = a if epsilon == 1 or (i <= n) == (j <= n) else ring.neg(a)
     grid[i - 1][j - 1] = a
     grid[sj - 1][si - 1] = ring.neg(mirrored)
     return Matrix._raw(ring, tuple(map(tuple, grid)))
@@ -90,11 +83,9 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """A split bilinear form of rank 2n with its Gram matrix.
-
-    kind "symplectic": gram = [[0, I], [-I, 0]], epsilon = -1.
-    kind "orthogonal": gram = [[0, I], [ I, 0]], epsilon = +1.
-    """
+    """A split bilinear form of rank 2n, gram = [[0, I], [epsilon I, 0]]:
+    epsilon = -1 for kind "symplectic", +1 for kind "orthogonal".  The gram
+    is a signed permutation; the form acts through ``covector``."""
 
     kind: str
     n: int
@@ -109,8 +100,16 @@ class BilinearForm:
     def size(self) -> int:
         return 2 * self.n
 
+    def covector(self, v: tuple) -> tuple:
+        """The row v^T * gram = (eps * v[n:], v[:n]), without a product."""
+        if len(v) != self.size:
+            raise ValueError(f"vector length {len(v)} does not match form rank {self.size}")
+        n = self.n
+        head = tuple(v[n:]) if self.epsilon == 1 else vec_neg(self.ring, v[n:])
+        return head + tuple(v[:n])
+
     def pairing(self, x: tuple, y: tuple):
-        return vec_dot(self.ring, x, self.gram.apply(y))
+        return vec_dot(self.ring, self.covector(x), y)
 
 
 def form_matrix(ring: Ring, n: int, kind: str) -> BilinearForm:
@@ -130,12 +129,13 @@ def form_matrix(ring: Ring, n: int, kind: str) -> BilinearForm:
 
 
 def preserves_form(m: Matrix, form: BilinearForm) -> bool:
-    """Exact check of M^T * gram * M == gram."""
+    """Exact check of M^T * gram * M == gram; M^T * gram is read off by covectors."""
     if m.rows != form.size or m.cols != form.size:
         raise ValueError(f"matrix size {m.rows}x{m.cols} does not match form rank {form.size}")
-    if m.ring != form.ring:
+    if m.ring is not form.ring and m.ring != form.ring:
         raise ValueError("ring mismatch between matrix and form")
-    return m.transpose() @ form.gram @ m == form.gram
+    mt_gram = Matrix._raw(m.ring, tuple(map(form.covector, zip(*m.entries))))
+    return mt_gram @ m == form.gram
 
 
 # -- generator words ---------------------------------------------------------

@@ -74,7 +74,7 @@ class Matrix:
         return f"<matrix {self.rows}x{self.cols} over {self.ring.descriptor}: {format_matrix(self)}>"
 
     def _check_same_ring(self, other: "Matrix"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring.descriptor} vs {other.ring.descriptor}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":

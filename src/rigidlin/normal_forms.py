@@ -208,6 +208,14 @@ def _residue_pivots(ring: Modular, h: Matrix, u: Matrix) -> tuple[Matrix, Matrix
             Matrix._raw(ring, tuple(map(tuple, u_rows))))
 
 
+def _residue_lift(a: Matrix) -> Matrix:
+    """The rows of a over Z/m as integers, followed by the rows m e_k: their
+    span over Z is the preimage of the row span of a over Z/m."""
+    m = a.ring.modulus
+    return Matrix._raw(Integers(), a.entries + tuple(
+        tuple(m if k == i else 0 for k in range(a.cols)) for i in range(a.cols)))
+
+
 def kernel_basis(a: Matrix) -> KernelModule:
     """Generators of the right kernel {x : A x = 0}.
 
@@ -221,19 +229,16 @@ def kernel_basis(a: Matrix) -> KernelModule:
     """
     ring = a.ring
     if isinstance(ring, Modular):
-        m = ring.modulus
-        lifted = Matrix._raw(Integers(), tuple(
-            row + tuple(m if k == i else 0 for k in range(a.rows))
-            for i, row in enumerate(a.entries)))
+        lifted = _residue_lift(a.transpose())
     elif ring.is_euclidean:
-        lifted = a
+        lifted = a.transpose()
     else:
         raise UnsupportedRingError(f"no kernel computation over {ring.descriptor}")
-    h, u = hermite_normal_form(lifted.transpose())
+    h, u = hermite_normal_form(lifted)
     z = lifted.ring.zero
     rows = (v for hrow, v in zip(h.entries, u.entries) if all(x == z for x in hrow))
-    if lifted is not a:
-        rows = (tuple(x % m for x in v[: a.cols]) for v in rows)
+    if lifted.ring is not ring:
+        rows = (tuple(x % ring.modulus for x in v[: a.cols]) for v in rows)
     basis = tuple(v for v in dict.fromkeys(rows) if not vec_is_zero(ring, v))
     for vec in basis:
         if not vec_is_zero(ring, a.apply(vec)):
@@ -314,11 +319,18 @@ def principal_kernel_family(ring: Ring, a, b, count: int) -> Iterator[tuple]:
 
 
 def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
-    """Whether vec is a ring-linear combination of the given row vectors."""
+    """Whether vec is a ring-linear combination of the given row vectors;
+    over Z/m this is decided over Z, on ``_residue_lift`` of the rows."""
     rows = [tuple(r) for r in rows]
+    if any(len(r) != len(vec) for r in rows):
+        raise ValueError(f"vector length {len(vec)} does not match the rows")
     if not rows:
         return vec_is_zero(ring, vec)
-    h, _ = hermite_normal_form(Matrix(ring, rows))
+    a = Matrix(ring, rows)
+    if isinstance(ring, Modular):
+        a = _residue_lift(a)
+    ring = a.ring
+    h, _ = hermite_normal_form(a)
     z = ring.zero
     work = list(vec)
     for row in h.entries:

@@ -516,10 +516,8 @@ def _isotropic_pool(ctx: StabilizerContext) -> list:
     form = ctx.form
     ring = ctx.ring
     n = form.n
-    gram_t = form.gram.transpose()
-    rows = []
-    for w in ctx.constraint_vectors:
-        rows.append(gram_t.apply(w)[:n])  # condition on the first block only
+    # condition on the first block only
+    rows = [form.covector(w)[:n] for w in ctx.constraint_vectors]
     if all(vec_is_zero(ring, row) for row in rows):
         heads = [unit_vector(ring, n, i) for i in range(n)]
     else:

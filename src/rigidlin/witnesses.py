@@ -8,9 +8,12 @@ Three constructions, all emitted through fail-fast verification:
   conjugated stabilizer;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form;
-* upper block-unipotent matrices ``(I, A; 0, I)`` over the symmetry class
-  admitted by the form, restricted to those fixing a prescribed image
-  vector.
+* upper block-unipotent matrices ``(I, A; 0, I)`` with A^T = -eps A, the
+  symmetry class the form admits, restricted to those fixing a prescribed
+  image vector.
+
+Pairing rows v^T * gram come from ``BilinearForm.covector``, never from a
+product with the Gram matrix.
 
 Verification is mandatory on emission, never sampled: a witness that
 fails its defining identity raises ``IdentityViolation``.  Each conjugator
@@ -175,15 +178,10 @@ def complement_module(form: BilinearForm, vectors) -> KernelModule:
     """
     ring = form.ring
     size = form.size
-    vectors = [tuple(v) for v in vectors]
-    for v in vectors:
-        if len(v) != size:
-            raise ValueError("constraint vector length does not match the form")
-    if not vectors:
+    rows = [form.covector(tuple(v)) for v in vectors]  # row i = v_i^T * gram
+    if not rows:
         basis = tuple(unit_vector(ring, size, i) for i in range(size))
         return KernelModule(ring, size, basis)
-    gram_t = form.gram.transpose()
-    rows = [gram_t.apply(v) for v in vectors]  # row i = v_i^T * gram
     return kernel_basis(Matrix(ring, rows))
 
 
@@ -201,9 +199,8 @@ def transvection(form: BilinearForm, u, v) -> Matrix:
     ring = form.ring
     u, v = tuple(u), tuple(v)
     _require_isotropic(form, u, v)
-    gram_t = form.gram.transpose()
-    row_v = gram_t.apply(v)  # <v, x> = row_v . x
-    row_u = gram_t.apply(u)
+    row_v = form.covector(v)  # <v, x> = row_v . x
+    row_u = form.covector(u)
     eps_u = u if form.epsilon == 1 else vec_neg(ring, u)
     m = Matrix.identity(ring, form.size) + outer_product(ring, eps_u, row_v) - outer_product(
         ring, v, row_u
@@ -223,7 +220,7 @@ def transvection_short(form: BilinearForm, v, r) -> Matrix:
         raise ValueError("short transvection needs isotropic v")
     if form.epsilon == 1:
         return Matrix.identity(ring, form.size)
-    row_v = form.gram.transpose().apply(v)
+    row_v = form.covector(v)
     scaled = tuple(ring.mul(r, c) for c in v)
     m = Matrix.identity(ring, form.size) - outer_product(ring, scaled, row_v)
     if not preserves_form(m, form):
@@ -232,11 +229,11 @@ def transvection_short(form: BilinearForm, v, r) -> Matrix:
 
 
 def _symmetry_parameters(form: BilinearForm) -> list[tuple[int, int]]:
-    # free positions (i, j), 0-based, i <= j; the mirrored entry is implied
+    # free positions (i, j), 0-based, i <= j, of a block with A^T = -eps A:
+    # symmetric (free diagonal) for eps = -1, alternating for eps = +1
     n = form.n
-    if form.kind == "symplectic":
-        return [(i, j) for i in range(n) for j in range(i, n)]
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    off = 1 if form.epsilon == 1 else 0
+    return [(i, j) for i in range(n) for j in range(i + off, n)]
 
 
 def _block_from_parameters(form: BilinearForm, params: tuple) -> Matrix:
@@ -246,7 +243,7 @@ def _block_from_parameters(form: BilinearForm, params: tuple) -> Matrix:
     for (i, j), value in zip(_symmetry_parameters(form), params):
         grid[i][j] = value
         if i != j:
-            grid[j][i] = value if form.kind == "symplectic" else ring.neg(value)
+            grid[j][i] = value if form.epsilon == -1 else ring.neg(value)
     return Matrix._raw(ring, tuple(map(tuple, grid)))
 
 
@@ -273,18 +270,10 @@ def block_unipotent_witnesses(ctx: StabilizerContext, g: Matrix, count: int) -> 
     positions = _symmetry_parameters(form)
     if not positions:
         return
-    # column k of the constraint matrix is (basis matrix k) * y
-    columns = []
-    for i, j in positions:
-        col = [ring.zero] * n
-        if i == j:
-            col[i] = y[i]
-        else:
-            col[i] = y[j]
-            col[j] = y[i] if form.kind == "symplectic" else ring.neg(y[i])
-        columns.append(col)
-    constraint = Matrix(ring, [[columns[k][r] for k in range(len(positions))] for r in range(n)])
-    kernel = kernel_basis(constraint)
+    # column k of the constraint matrix is (basis block k) * y
+    columns = [_block_from_parameters(form, unit_vector(ring, len(positions), k)).apply(y)
+               for k in range(len(positions))]
+    kernel = kernel_basis(Matrix._raw(ring, tuple(zip(*columns))))
     identity_n = Matrix.identity(ring, n)
     zeros_n = Matrix.zeros(ring, n, n)
     for params in combination_stream(kernel, count):

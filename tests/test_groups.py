@@ -11,10 +11,12 @@ from rigidlin import (
     elementary_matrix,
     embed_stabilize,
     form_matrix,
+    format_matrix,
     format_word,
     parse_matrix,
     parse_word,
     preserves_form,
+    ring_from_text,
     sigma_index,
     unitary_generator,
 )
@@ -105,6 +107,47 @@ def test_preserves_form_examples():
     assert not preserves_form(parse_matrix(Z, "1,0,1,0;0,1,0,0;0,0,1,0;0,0,0,1"), orth)
     with pytest.raises(ValueError):
         preserves_form(Matrix.identity(Z, 3), sym)
+
+
+def _dense_preserves(m, form):
+    # reference: both products with the dense gram
+    return m.transpose() @ form.gram @ m == form.gram
+
+
+@pytest.mark.parametrize("ring_text", ["Z", "Z/6", "Zi", "Fp[x]/5", "Z[x]"])
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_covector_and_preserves_form_match_the_dense_gram(ring_text, kind):
+    ring = ring_from_text(ring_text)
+    rng = random.Random(f"{ring_text}:{kind}")
+    pool = ring.take(9)
+    word_kind = "esp" if kind == "symplectic" else "eo"
+    verdicts = set()
+    for n in range(1, 5):
+        form = form_matrix(ring, n, kind)
+        size = form.size
+        for _ in range(4):
+            x, y = (tuple(rng.choice(pool) for _ in range(size)) for _ in range(2))
+            row = Matrix(ring, [x]) @ form.gram
+            assert form.covector(x) == row.entries[0]
+            assert form.pairing(x, y) == row.apply(y)[0]
+        # the gram itself preserves its form, as does every generator word
+        preserving = [form.gram]
+        if n > 1:
+            preserving += [random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 6)).evaluate()
+                           for _ in range(3)]
+        elif kind == "symplectic":
+            preserving.append(parse_word(ring, "esp", 1, "rl(1,2);rl(2,-1)").evaluate())
+        for m in preserving:
+            assert preserves_form(m, form) and _dense_preserves(m, form)
+            one_off = [list(r) for r in m.entries]
+            one_off[0][size - 1] = ring.add(one_off[0][size - 1], ring.one)
+            others = [Matrix(ring, one_off),
+                      Matrix(ring, [[rng.choice(pool) for _ in range(size)] for _ in range(size)])]
+            for other in others:
+                verdict = preserves_form(other, form)
+                assert verdict == _dense_preserves(other, form), format_matrix(other)
+                verdicts.add(verdict)
+    assert False in verdicts
 
 
 def test_generators_preserve_their_forms_exhaustively():

@@ -454,6 +454,48 @@ def test_in_row_span():
     assert not in_row_span(Z, [], (1, 0))
 
 
+@pytest.mark.parametrize("modulus, rows, vec, expected", [
+    (4, [(2, 1)], (0, 2), True),   # 2 * (2, 1)
+    (6, [(2, 1)], (0, 3), True),   # 3 * (2, 1)
+    (4, [(2, 1)], (2, 1), True),
+    (4, [(2, 1)], (1, 0), False),
+])
+def test_in_row_span_over_residues(modulus, rows, vec, expected):
+    assert in_row_span(Modular(modulus), rows, vec) is expected
+
+
+def test_in_row_span_refuses_a_vector_of_another_length():
+    with pytest.raises(ValueError, match="vector length"):
+        in_row_span(Z, [(1, 0)], (1, 0, 0))
+    with pytest.raises(ValueError, match="vector length"):
+        in_row_span(Modular(4), [(2, 1)], (2,))
+
+
+def _span_by_enumeration(m, rows, cols):
+    span = {(0,) * cols}
+    for r in rows:
+        span = {tuple((x + c * y) % m for x, y in zip(s, r)) for s in span for c in range(m)}
+    return span
+
+
+@pytest.mark.parametrize("modulus", range(2, 13))
+def test_in_row_span_over_residues_agrees_with_enumeration(modulus):
+    # every vector at up to 2 columns; at 3, a sample of vectors and of the span
+    ring = Modular(modulus)
+    rng = random.Random(modulus)
+    for cols in (1, 2, 3):
+        for _ in range(3):
+            rows = [tuple(rng.randrange(modulus) for _ in range(cols))
+                    for _ in range(rng.randint(1, 3))]
+            span = _span_by_enumeration(modulus, rows, cols)
+            vectors = list(itertools.product(range(modulus), repeat=cols))
+            if len(vectors) > 150:
+                members = sorted(span)
+                vectors = rng.sample(vectors, 100) + rng.sample(members, min(50, len(members)))
+            for vec in vectors:
+                assert in_row_span(ring, rows, vec) == (vec in span), (rows, vec)
+
+
 def test_gaussian_kernel_stream():
     # rank-two extension of the integers: kernels stream there as well
     zi = GaussianIntegers()

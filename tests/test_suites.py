@@ -116,6 +116,13 @@ PINNED_EMITTER_REPORTS = {
     ("transvections", "Z"): "a1f5aef0a8cf5be11491ad9e13b6268d642b3bfa529f4bb531e8d1c8f8f6efc0",
     ("t-a-witnesses", "Z"): "a87c52b5b7bd122a5d7cec162e0413799989b94faeef6ba465dafe12757f72a4",
 }
+# t-a-witnesses on the orthogonal block path and a symplectic one of
+# half-rank 3, recorded before the split form acted through
+# ``BilinearForm.covector``.
+PINNED_BLOCK_REPORTS = {
+    "Z": "a006dc4ed3ead7fe2fd380440863638e092689705e42c5db94a32d025ef03994",
+    "Fp[x]/5": "ed10c12b4d8e0bf322cfc85e5d5bd50cc4bef6f9a12b7439fb703836f7f5e087",
+}
 PINNED_PARAMS = {
     "kernel-oracle": {"trials": 20, "box": 3, "seed": 3},
     "lemma-ke": {"n": 4, "trials": 3, "need": 6, "seed": 3},
@@ -148,6 +155,15 @@ def test_polynomial_ring_reports_match_pinned_digest(suite, ring_text):
 @pytest.mark.parametrize("suite, ring_text", sorted(PINNED_EMITTER_REPORTS))
 def test_emitter_checked_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_EMITTER_REPORTS[suite, ring_text]
+
+
+@pytest.mark.parametrize("ring_text", sorted(PINNED_BLOCK_REPORTS))
+def test_block_witness_reports_match_pinned_digest(ring_text):
+    params = dict(PINNED_PARAMS["t-a-witnesses"], configs=[["orthogonal", 4], ["symplectic", 3]])
+    report = run_suite("t-a-witnesses", ring_from_text(ring_text), params)
+    assert report.verdict == "pass"
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == PINNED_BLOCK_REPORTS[ring_text]
 
 
 def _functionals_not_annihilating(kernel, count):
