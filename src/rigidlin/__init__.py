@@ -24,7 +24,6 @@ from .rings import (
 )
 from .matrix import (
     Matrix,
-    assemble_block,
     format_matrix,
     format_vector,
     parse_matrix,
@@ -53,6 +52,7 @@ from .groups import (
     unitary_generator,
 )
 from .witnesses import (
+    BlockWitness,
     PreparedConjugator,
     ShearWitness,
     StabilizerContext,
@@ -71,6 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearForm",
+    "BlockWitness",
     "GaussianIntegers",
     "GeneratorWord",
     "IdentityViolation",
@@ -90,7 +91,6 @@ __all__ = [
     "UnsupportedRingError",
     "WitnessReport",
     "WordToken",
-    "assemble_block",
     "block_unipotent_witnesses",
     "build_shear",
     "complement_module",

@@ -170,9 +170,8 @@ def _cmd_witness(args) -> int:
     ring = ring_from_text(args.ring)
     word_texts = [w for chunk in args.conjugators for w in chunk.split("|") if w.strip()]
     words = [parse_word(ring, args.group, args.n, text) for text in word_texts]
-    conjugators = tuple(w.evaluate() for w in words)
     if args.group == "en":
-        ctx = StabilizerContext(ring, args.n, conjugators)
+        ctx = StabilizerContext(ring, args.n, tuple(w.evaluate() for w in words))
         found = list(itertools.islice(intersection_witnesses(ctx, args.count), args.count))
         payload = {
             "ring": ring.descriptor,
@@ -184,21 +183,20 @@ def _cmd_witness(args) -> int:
         }
         _emit(args, payload)
         return 0
+    if len(words) > 1:
+        raise ParseError("esp/eo witnesses take at most one conjugator word (the element g)")
     kind = "symplectic" if args.group == "esp" else "orthogonal"
     form = form_matrix(ring, args.n, kind)
-    ctx = StabilizerContext(ring, 2 * args.n, conjugators, form)
-    if len(conjugators) > 1:
-        raise ParseError("esp/eo witnesses take at most one conjugator word (the element g)")
-    g = conjugators[0] if conjugators else Matrix.identity(ring, 2 * args.n)
+    g = words[0].evaluate() if words else Matrix.identity(ring, 2 * args.n)
     found = list(itertools.islice(
-        block_unipotent_witnesses(ctx, g, args.count), args.count))
+        block_unipotent_witnesses(form, g, args.count), args.count))
     payload = {
         "ring": ring.descriptor,
         "group": args.group,
         "n": args.n,
         "conjugators": [format_word(w) for w in words],
-        "u_vectors": [format_vector(ring, u) for u in ctx.first_column_images],
-        "witnesses": [format_matrix(w) for w in found],
+        "u_vectors": [format_vector(ring, g.column(0))] if words else [],
+        "witnesses": [format_matrix(w.matrix) for w in found],
     }
     _emit(args, payload)
     return 0

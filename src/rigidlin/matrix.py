@@ -247,17 +247,6 @@ def _bareiss(ring: Ring, m: list, gauss_jordan: bool) -> tuple:
     return prev, (prev if sign > 0 else ring.neg(prev))
 
 
-def assemble_block(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    """Assemble ``[[tl, tr], [bl, br]]`` from four conforming blocks."""
-    for other in (tr, bl, br):
-        tl._check_same_ring(other)
-    if tl.rows != tr.rows or bl.rows != br.rows or tl.cols != bl.cols or tr.cols != br.cols:
-        raise ValueError("block dimensions do not conform")
-    top = tuple(r1 + r2 for r1, r2 in zip(tl.entries, tr.entries))
-    bottom = tuple(r1 + r2 for r1, r2 in zip(bl.entries, br.entries))
-    return Matrix._raw(tl.ring, top + bottom)
-
-
 def parse_matrix(ring: Ring, text: str) -> Matrix:
     rows = []
     for row_text in text.strip().split(";"):

@@ -131,18 +131,20 @@ def _snf_core(ring: Ring, d: list) -> tuple[list, list, list]:
 
 
 def _normal_form(a: Matrix, name: str, core) -> tuple[Matrix, ...]:
-    """Run core(ring, rows) over the ring of a; a residue ring Z/m is lifted
-    to Z and each result reduced mod m."""
+    """Run core(ring, rows) over the ring of a.  A residue ring Z/m is lifted
+    to Z, each result is reduced mod m, and ``_residue_pivots`` normalises
+    the first result together with the second, its left transform."""
     ring = a.ring
     rows = [list(row) for row in a.entries]
     if isinstance(ring, Modular):
         m = ring.modulus
-        grids = (tuple(tuple(x % m for x in row) for row in out) for out in core(Integers(), rows))
+        outs = [[[x % m for x in row] for row in out] for out in core(Integers(), rows)]
+        _residue_pivots(ring, outs[0], outs[1])
     elif ring.is_euclidean:
-        grids = (tuple(map(tuple, out)) for out in core(ring, rows))
+        outs = core(ring, rows)
     else:
         raise UnsupportedRingError(f"no {name} over {ring.descriptor}")
-    return tuple(Matrix._raw(ring, grid) for grid in grids)
+    return tuple(Matrix._raw(ring, tuple(map(tuple, out))) for out in outs)
 
 
 def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -157,11 +159,8 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     matrices over Z/m can still have different H, and a row whose integer
     pivot is a multiple of m loses that pivot.
     """
-    h, u = _normal_form(a, "Hermite form",
+    return _normal_form(a, "Hermite form",
                         lambda ring, rows: _hnf_core(ring, rows, _identity_rows(ring, len(rows))))
-    if isinstance(a.ring, Modular):
-        h, u = _residue_pivots(a.ring, h, u)
-    return h, u
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -172,23 +171,19 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     row i and the alternation resumes.  Over Z/m each d_i is then replaced
     by gcd(d_i, m), its canonical associate, so equivalent matrices share D.
     """
-    d, u, v = _normal_form(a, "Smith form", _snf_core)
-    if isinstance(a.ring, Modular):
-        d, u = _residue_pivots(a.ring, d, u)
-    return d, u, v
+    return _normal_form(a, "Smith form", _snf_core)
 
 
-def _residue_pivots(ring: Modular, h: Matrix, u: Matrix) -> tuple[Matrix, Matrix]:
-    """Normalise the leading entries of the rows of h over Z/m, applying
-    each row operation to u as well, so U A = H (or U A V = D) still holds.
+def _residue_pivots(ring: Modular, h_rows: list, u_rows: list):
+    """Normalise in place the leading entries of the rows of h over Z/m,
+    applying each row operation to u as well, so U A = H (or U A V = D)
+    still holds.
 
     The leading entry of row r is w gcd(h, m) for a unit w: row r is
     scaled by w^-1, and the entries above the new pivot g are reduced
     modulo g.  On a Smith diagonal this sets each D_ii to gcd(d_i, m).
     """
     m = ring.modulus
-    h_rows = [list(row) for row in h.entries]
-    u_rows = [list(row) for row in u.entries]
     for r, row in enumerate(h_rows):
         c = next((j for j, x in enumerate(row) if x), None)
         if c is None:
@@ -204,8 +199,6 @@ def _residue_pivots(ring: Modular, h: Matrix, u: Matrix) -> tuple[Matrix, Matrix
             if q:
                 h_rows[i] = ring.axpy(h_rows[i], q, h_rows[r])
                 u_rows[i] = ring.axpy(u_rows[i], q, u_rows[r])
-    return (Matrix._raw(ring, tuple(map(tuple, h_rows))),
-            Matrix._raw(ring, tuple(map(tuple, u_rows))))
 
 
 def _residue_lift(a: Matrix) -> Matrix:

@@ -96,10 +96,6 @@ def _fail(failures: list, input_: str, expected: str, got: str):
     failures.append({"input": input_, "expected": expected, "got": got})
 
 
-def _element_pool(ring: Ring, size: int = 100) -> list:
-    return ring.take(size)
-
-
 def _small_params(ring: Ring, bound: int = 3) -> list:
     """Nonzero elements with small literals, e.g. 1, -1, 2, -2, 3, -3 over Z."""
     pool = []
@@ -126,6 +122,9 @@ def random_elementary_word(rng: random.Random, ring: Ring, n: int, length: int,
 
 def random_unitary_word(rng: random.Random, ring: Ring, kind: str, n: int, length: int,
                         bound: int = 3) -> GeneratorWord:
+    if n < 2:
+        # at half-rank 1 every index j is i or sigma(i): no short root exists
+        raise ValueError(f"random unitary words need half-rank n >= 2, got {n}")
     pool = _small_params(ring, bound)
     size = 2 * n
     tokens = []
@@ -147,7 +146,7 @@ def random_unitary_word(rng: random.Random, ring: Ring, kind: str, n: int, lengt
 
 def _suite_ring_axioms(ring: Ring, p: dict) -> dict:
     samples = p["samples"]
-    pool = _element_pool(ring)
+    pool = ring.take(100)
     failures: list = []
     kept = []
     rng = _rng(p["seed"], "ring-axioms", 0)
@@ -291,7 +290,7 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
                 "extra": {"finite_ring": True}}
 
     trials, need = p["trials"], p["need"]
-    pool = _element_pool(ring, 40)
+    pool = ring.take(40)
     use_family = isinstance(ring, IntegerPolynomials)
     for t in range(trials):
         rng = _rng(p["seed"], "rigidity-infinite", t)
@@ -364,7 +363,7 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
         for f in functionals:
             c = rng.choice(coeff_pool)
             if c != ring.zero:
-                out = [ring.add(x, ring.mul(c, y)) for x, y in zip(out, f)]
+                out = ring.axpy(out, ring.neg(c), f)
         return tuple(out)
 
     x_part = combo()
@@ -380,7 +379,7 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
         for gen in w_kernel.basis:
             c = rng.choice(coeff_pool)
             if c != ring.zero:
-                w = [ring.add(a, ring.mul(c, b)) for a, b in zip(w, gen)]
+                w = ring.axpy(w, ring.neg(c), gen)
         block = block @ (Matrix.identity(ring, dim) + outer_product(ring, tuple(w), psi))
     top = (ring.one,) + x_part
     return Matrix._raw(ring, (top,) + tuple((ring.zero,) + row for row in block.entries))
@@ -397,7 +396,7 @@ def _suite_conjugation(ring: Ring, p: dict) -> dict:
             q = _random_stabilizer_conjugator(rng, ring, n, functionals)
             try:
                 prepared = PreparedConjugator(ctx, q)
-                results = [conjugate_by_stabilizer(w, prepared, ctx) for w in witnesses]
+                results = [conjugate_by_stabilizer(w, prepared) for w in witnesses]
             except (ValueError, IdentityViolation) as exc:
                 _fail(failures, f"{label} ; q={format_matrix(q)}",
                       "closed under conjugation", repr(exc))
@@ -532,8 +531,8 @@ def _combine(rng: random.Random, ring: Ring, vectors: list, size: int) -> tuple:
     for v in vectors:
         if rng.random() < 0.5:
             c = rng.choice(coeffs)
-            out = tuple(ring.add(x, ring.mul(c, y)) for x, y in zip(out, v))
-    return out
+            out = ring.axpy(out, ring.neg(c), v)
+    return tuple(out)
 
 
 def _require_kernels(ring: Ring, suite: str):
@@ -610,7 +609,6 @@ def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
     for kind, n in p["configs"]:
         form = form_matrix(ring, n, kind)
         word_kind = "esp" if kind == "symplectic" else "eo"
-        ctx = StabilizerContext(ring, 2 * n, (), form)
         for t in range(p["trials"]):
             trials += 1
             rng = _rng(p["seed"], f"t-a:{kind}:{n}", t)
@@ -618,16 +616,17 @@ def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
             g = g_word.evaluate()
             label = f"{kind} n={n} g={format_word(g_word)}"
             try:
-                found = list(itertools.islice(block_unipotent_witnesses(ctx, g, need), need))
+                found = list(itertools.islice(block_unipotent_witnesses(form, g, need), need))
             except IdentityViolation as exc:
                 _fail(failures, label, "fixes g e1 and preserves the form", repr(exc))
                 continue
             if not ring.is_finite and len(found) < need:
                 _fail(failures, label, f"{need} block witnesses", str(len(found)))
-            if len(set(found)) != len(found):
-                _fail(failures, label, "pairwise distinct", str(len(set(found))))
+            blocks = {w.block for w in found}
+            if len(blocks) != len(found):
+                _fail(failures, label, "pairwise distinct", str(len(blocks)))
             if t == 0 and found:
-                kept.append({"g": format_word(g_word), "witness": format_matrix(found[0])})
+                kept.append({"g": format_word(g_word), "witness": format_matrix(found[0].matrix)})
     return {"trials": trials, "failures": failures, "samples": kept}
 
 
@@ -728,7 +727,7 @@ SUITE_IDS = tuple(_SUITES)
 
 
 def _is_half_rank(value) -> bool:
-    # at 1 there is no short root, so root sampling would never end, and
+    # at 1 there is no short root, so random_unitary_word refuses it, and
     # abelian-s would have no generators to check
     return type(value) is int and value >= 2
 

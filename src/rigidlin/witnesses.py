@@ -8,9 +8,9 @@ Three constructions, all emitted through fail-fast verification:
   conjugated stabilizer;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form;
-* upper block-unipotent matrices ``(I, A; 0, I)`` with A^T = -eps A, the
-  symmetry class the form admits, restricted to those fixing a prescribed
-  image vector.
+* upper block-unipotent matrices ``(I, A; 0, I)``, held as the n x n
+  block A, with A^T = -eps A, the symmetry class the form admits,
+  restricted to those fixing a prescribed image vector.
 
 Pairing rows v^T * gram come from ``BilinearForm.covector``, never from a
 product with the Gram matrix.
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
-from .matrix import Matrix, assemble_block, outer_product, unit_vector, vec_is_zero, vec_neg
+from .matrix import Matrix, outer_product, unit_vector, vec_is_zero, vec_neg
 from .normal_forms import KernelModule, combination_stream, kernel_basis
 from .rings import Ring
 
@@ -79,6 +79,21 @@ class ShearWitness:
         ring, f = self.ring, self.functional
         rows = Matrix.identity(ring, len(f) + 1).entries[1:]
         return Matrix._raw(ring, ((ring.one,) + f,) + rows)
+
+
+@dataclass(frozen=True)
+class BlockWitness:
+    """The block unipotent (I, A; 0, I), held as A; ``matrix`` builds it on demand."""
+
+    block: Matrix
+
+    @property
+    def matrix(self) -> Matrix:
+        ring, a = self.block.ring, self.block.entries
+        identity = Matrix.identity(ring, len(a)).entries
+        zero_row = (ring.zero,) * len(a)
+        return Matrix._raw(ring, tuple(e + row for e, row in zip(identity, a))
+                           + tuple(zero_row + e for e in identity))
 
 
 class PreparedConjugator:
@@ -144,12 +159,10 @@ def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[Shear
         yield ShearWitness(ring, functional)
 
 
-def conjugate_by_stabilizer(
-    witness: ShearWitness, q: PreparedConjugator | Matrix, ctx: StabilizerContext
-) -> ShearWitness:
-    """Conjugate a shear by a stabilizer element q = (1, x; 0, A).
+def conjugate_by_stabilizer(witness: ShearWitness, q: PreparedConjugator) -> ShearWitness:
+    """Conjugate a shear by a stabilizer element q = (1, x; 0, A), prepared
+    once for its context.
 
-    q is prepared for ctx, or a bare ``Matrix`` that is prepared first.
     The result is T' = q^-1 * T * q, the shear with functional f' = f*A:
     as q e1 = e1, q * T' and T * q agree off the first row, and there
     (1, x + f') = (1, x) + (0, f)*q.  The one check is that f' annihilates
@@ -157,10 +170,7 @@ def conjugate_by_stabilizer(
     whatever shear it came from (``build_shear`` takes any functional).  A
     failed check means a broken identity, never a bad input.
     """
-    if isinstance(q, Matrix):
-        q = PreparedConjugator(ctx, q)
-    elif q.context is not ctx:
-        raise ValueError("conjugator was prepared for another context")
+    ctx = q.context
     ring = ctx.ring
     if len(witness.functional) != ctx.size - 1:
         raise ValueError(f"shear functional length {len(witness.functional)} != {ctx.size - 1}")
@@ -247,26 +257,23 @@ def _block_from_parameters(form: BilinearForm, params: tuple) -> Matrix:
     return Matrix._raw(ring, tuple(map(tuple, grid)))
 
 
-def block_unipotent_witnesses(ctx: StabilizerContext, g: Matrix, count: int) -> Iterator[Matrix]:
-    """Matrices (I, A; 0, I) fixing g e1, over the symmetry class the form
+def block_unipotent_witnesses(form: BilinearForm, g: Matrix, count: int) -> Iterator[BlockWitness]:
+    """Witnesses (I, A; 0, I) fixing g e1, over the symmetry class the form
     admits: symmetric A (free diagonal) on the symplectic side, alternating
     A (zero diagonal) on the orthogonal side.
 
-    Writing g e1 = (x, y), the condition is A y = 0; the stream walks the
-    kernel of the parameter-to-(A y) map and verifies each emission fixes
-    g e1 and preserves the form.
+    Writing g e1 = (x, y), the witness fixes g e1 exactly when A y = 0,
+    and preserves the form exactly when A^T = -eps A; the stream walks the
+    kernel of the parameter-to-(A y) map and checks both identities on
+    each emitted block, O(n^2) each, without building the 2n x 2n matrix.
     """
-    form = ctx.form
-    if form is None:
-        raise ValueError("context carries no form")
-    ring = ctx.ring
+    ring = form.ring
     n = form.n
     if form.kind == "orthogonal" and n < 4:
         warnings.warn("orthogonal block witnesses are intended for half-rank >= 4", stacklevel=2)
     if not preserves_form(g, form):
         raise ValueError("g does not preserve the form")
-    image = g.column(0)
-    y = image[n:]
+    y = g.column(0)[n:]
     positions = _symmetry_parameters(form)
     if not positions:
         return
@@ -274,13 +281,10 @@ def block_unipotent_witnesses(ctx: StabilizerContext, g: Matrix, count: int) -> 
     columns = [_block_from_parameters(form, unit_vector(ring, len(positions), k)).apply(y)
                for k in range(len(positions))]
     kernel = kernel_basis(Matrix._raw(ring, tuple(zip(*columns))))
-    identity_n = Matrix.identity(ring, n)
-    zeros_n = Matrix.zeros(ring, n, n)
     for params in combination_stream(kernel, count):
         block = _block_from_parameters(form, params)
-        witness = assemble_block(identity_n, block, zeros_n, identity_n)
-        if witness.apply(image) != image:
+        if not vec_is_zero(ring, block.apply(y)):
             raise IdentityViolation("block witness moved g e1")
-        if not preserves_form(witness, form):
+        if block.transpose() != (block if form.epsilon == -1 else -block):
             raise IdentityViolation("block witness failed form preservation")
-        yield witness
+        yield BlockWitness(block)

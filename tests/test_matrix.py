@@ -11,7 +11,6 @@ from rigidlin import (
     NotInvertibleError,
     ParseError,
     PrimeFieldPolynomials,
-    assemble_block,
     elementary_matrix,
     format_matrix,
     parse_matrix,
@@ -226,22 +225,6 @@ def test_inverse_does_not_expand_determinants(monkeypatch):
     inv = a.inverse()
     assert len(calls) <= 1
     assert (inv @ a).is_identity() and (a @ inv).is_identity()
-
-
-def test_assemble_block():
-    i1 = Matrix.identity(Z, 1)
-    i2 = Matrix.identity(Z, 2)
-    z12 = Matrix.zeros(Z, 1, 2)
-    z21 = Matrix.zeros(Z, 2, 1)
-    assert assemble_block(i1, z12, z21, i2) == Matrix.identity(Z, 3)
-    x = parse_matrix(Z, "7,-2")
-    upper = assemble_block(i1, x, z21, i2)
-    assert upper == parse_matrix(Z, "1,7,-2;0,1,0;0,0,1")
-    a = parse_matrix(Z, "1,2;3,4")
-    shear = assemble_block(i2, a, Matrix.zeros(Z, 2, 2), i2)
-    assert shear == parse_matrix(Z, "1,0,1,2;0,1,3,4;0,0,1,0;0,0,0,1")
-    with pytest.raises(ValueError):
-        assemble_block(i1, x, z12, i2)
 
 
 def test_matrix_text_roundtrip():

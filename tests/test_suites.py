@@ -1,6 +1,10 @@
 import collections
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,13 +223,25 @@ def _every_unit_vector_in_the_kernel(a):
 
 
 class _DoubledIdentity(Matrix):
-    """Matrix whose identity is 2I: transvections and block witnesses built
-    on it fail their own identity checks."""
+    """Matrix whose identity is 2I: transvections built on it fail their
+    own identity checks."""
 
     @classmethod
     def identity(cls, ring, n):
         one = Matrix.identity(ring, n)
         return one + one
+
+
+_real_block_from_parameters = rigidlin.witnesses._block_from_parameters
+
+
+def _block_with_an_extra_upper_entry(form, params):
+    """The block of params with one added above the diagonal only: block
+    witnesses built from it fail their own identity checks."""
+    a = _real_block_from_parameters(form, params)
+    rows = [list(row) for row in a.entries]
+    rows[0][1] = a.ring.add(rows[0][1], a.ring.one)
+    return Matrix(a.ring, rows)
 
 
 @pytest.mark.parametrize("suite, ring, params, module, name, broken, expected", [
@@ -237,10 +253,13 @@ class _DoubledIdentity(Matrix):
      "hermite_normal_form", _every_unit_vector_in_the_kernel, "kernel membership"),
     ("transvections", Z, {"ns": [2, 3], "trials": 8}, rigidlin.witnesses, "Matrix",
      _DoubledIdentity, "form preservation"),
-    ("t-a-witnesses", Z, {"trials": 2, "need": 4}, rigidlin.witnesses, "Matrix",
-     _DoubledIdentity, "fixes g e1 and preserves the form"),
+    ("t-a-witnesses", Z, {"trials": 2, "need": 4}, rigidlin.witnesses, "_block_from_parameters",
+     _block_with_an_extra_upper_entry, "fixes g e1 and preserves the form"),
+    ("t-a-witnesses", ring_from_text("Fp[x]/5"), {"trials": 2, "need": 4}, rigidlin.witnesses,
+     "_block_from_parameters", _block_with_an_extra_upper_entry,
+     "fixes g e1 and preserves the form"),
 ], ids=["kernel-oracle", "rigidity-empirical", "rigidity-empirical-finite", "transvections",
-        "t-a-witnesses"])
+        "t-a-witnesses", "t-a-witnesses-poly"])
 def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ring, params,
                                                           module, name, broken, expected):
     monkeypatch.setattr(module, name, broken)
@@ -275,6 +294,22 @@ def test_kernel_suites_refuse_kernelless_rings_before_any_trial(monkeypatch, sui
     monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
     with pytest.raises(UnsupportedRingError, match="no kernel computation over Z\\[x\\]"):
         run_suite(suite, IntegerPolynomials(), {"trials": 1, "seed": seed})
+
+
+@pytest.mark.parametrize("kind", ["esp", "eo"])
+def test_random_unitary_word_refuses_half_rank_one(kind):
+    # in a child process with a timeout: at half-rank 1 the root draw used
+    # to loop for ever
+    code = ("import random; from rigidlin import Integers; "
+            "from rigidlin.suites import random_unitary_word; "
+            f"random_unitary_word(random.Random(1), Integers(), {kind!r}, 1, 6)")
+    env = dict(os.environ)
+    src = str(Path(rigidlin.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=20)
+    assert run.returncode == 1
+    assert "ValueError: random unitary words need half-rank n >= 2, got 1" in run.stderr
 
 
 def test_different_seeds_change_sampled_content():

@@ -4,7 +4,9 @@ import warnings
 
 import pytest
 
+import rigidlin.witnesses
 from rigidlin import (
+    BlockWitness,
     IdentityViolation,
     Integers,
     Matrix,
@@ -12,7 +14,6 @@ from rigidlin import (
     NotInvertibleError,
     PreparedConjugator,
     StabilizerContext,
-    assemble_block,
     block_unipotent_witnesses,
     build_shear,
     complement_module,
@@ -30,6 +31,7 @@ from rigidlin import (
     unit_vector,
     unitary_generator,
 )
+from rigidlin.normal_forms import combination_stream
 from rigidlin.suites import (
     _random_stabilizer_conjugator,
     random_elementary_word,
@@ -118,20 +120,19 @@ def test_intersection_witnesses_finite_ring():
 def test_conjugate_by_identity_and_row_shears():
     ctx = StabilizerContext(Z, 4, ())
     witness = build_shear(Z, 4, (1, 2, 3))
-    assert conjugate_by_stabilizer(witness, Matrix.identity(Z, 4), ctx).functional == (1, 2, 3)
+    identity = PreparedConjugator(ctx, Matrix.identity(Z, 4))
+    assert conjugate_by_stabilizer(witness, identity).functional == (1, 2, 3)
     # a pure row shear (lower block identity) leaves the functional alone
-    q = build_shear(Z, 4, (7, -1, 0)).matrix
-    assert conjugate_by_stabilizer(witness, q, ctx).functional == (1, 2, 3)
+    q = PreparedConjugator(ctx, build_shear(Z, 4, (7, -1, 0)).matrix)
+    assert conjugate_by_stabilizer(witness, q).functional == (1, 2, 3)
 
 
 def test_conjugate_by_block_embedding():
     # q = 1 (+) A rotates the functional by A
-    a = parse_matrix(Z, "0,1;-1,0")
-    q = assemble_block(Matrix.identity(Z, 1), Matrix.zeros(Z, 1, 2),
-                       Matrix.zeros(Z, 2, 1), a)
+    q = parse_matrix(Z, "1,0,0;0,0,1;0,-1,0")  # A = (0, 1; -1, 0)
     ctx = StabilizerContext(Z, 3, ())
     witness = build_shear(Z, 3, (2, 5))
-    result = conjugate_by_stabilizer(witness, q, ctx)
+    result = conjugate_by_stabilizer(witness, PreparedConjugator(ctx, q))
     assert result.functional == (-5, 2)  # (2,5) @ [[0,1],[-1,0]]
     assert result.matrix == q.inverse() @ witness.matrix @ q
 
@@ -140,25 +141,20 @@ def test_conjugate_respects_context_constraints():
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
     witness = next(iter(intersection_witnesses(ctx, 1)))
     # a conjugator that moves the image is rejected as input error
-    bad = assemble_block(Matrix.identity(Z, 1), Matrix.zeros(Z, 1, 2),
-                         Matrix.zeros(Z, 2, 1), parse_matrix(Z, "0,1;-1,0"))
     with pytest.raises(ValueError):
-        conjugate_by_stabilizer(witness, bad, ctx)
+        PreparedConjugator(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"))
     # one that fixes it is accepted and the new functional annihilates it
-    good = assemble_block(Matrix.identity(Z, 1), parse_matrix(Z, "0,4"),
-                          Matrix.zeros(Z, 2, 1), parse_matrix(Z, "1,7;0,1"))
-    result = conjugate_by_stabilizer(witness, good, ctx)
+    good = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
+    result = conjugate_by_stabilizer(witness, good)
     assert sum(x * u for x, u in zip(result.functional, (1, 0))) == 0
 
 
 def test_conjugate_rejects_non_stabilizer():
     ctx = StabilizerContext(Z, 3, ())
-    witness = build_shear(Z, 3, (1, 0))
     with pytest.raises(ValueError):
-        conjugate_by_stabilizer(witness, elementary_matrix(Z, 3, 2, 1, 1), ctx)
+        PreparedConjugator(ctx, elementary_matrix(Z, 3, 2, 1, 1))
     with pytest.raises(ValueError):
-        bad = parse_matrix(Z, "1,0,0;0,2,0;0,0,1")  # determinant 2
-        conjugate_by_stabilizer(witness, bad, ctx)
+        PreparedConjugator(ctx, parse_matrix(Z, "1,0,0;0,2,0;0,0,1"))  # determinant 2
 
 
 def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
@@ -168,7 +164,7 @@ def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
     outsider = build_shear(Z, 3, (1, 0))
     for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
         with pytest.raises(IdentityViolation, match="does not annihilate an image"):
-            conjugate_by_stabilizer(outsider, q, ctx)
+            conjugate_by_stabilizer(outsider, PreparedConjugator(ctx, q))
 
 
 def test_prepared_conjugator_rejects_bad_input():
@@ -180,23 +176,17 @@ def test_prepared_conjugator_rejects_bad_input():
         (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "not invertible"),  # det 2, fixes the image
         (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix"),  # det 1, moves the image
     )
-    witness = next(iter(intersection_witnesses(ctx, 1)))
     for q, message in cases:
         with pytest.raises(ValueError, match=message):
             PreparedConjugator(ctx, q)
-        with pytest.raises(ValueError, match=message):
-            conjugate_by_stabilizer(witness, q, ctx)
-    # a conjugator prepared for one context is refused by another
-    other = StabilizerContext(Z, 3, ())
-    prepared = PreparedConjugator(other, Matrix.identity(Z, 3))
-    with pytest.raises(ValueError, match="another context"):
-        conjugate_by_stabilizer(witness, prepared, ctx)
     # a shear of another size is refused
+    prepared = PreparedConjugator(ctx, Matrix.identity(Z, 3))
     with pytest.raises(ValueError, match="length"):
-        conjugate_by_stabilizer(build_shear(Z, 4, (0, 0, 1)), Matrix.identity(Z, 3), ctx)
+        conjugate_by_stabilizer(build_shear(Z, 4, (0, 0, 1)), prepared)
 
 
-def test_prepared_conjugator_matches_bare_matrix():
+def test_conjugate_matches_the_dense_product():
+    # T' = q^-1 T q on random stabilizer elements fixing the context images
     rng = random.Random(89)
     for ring in (Z, Modular(7)):
         for n in (3, 4, 5):
@@ -207,11 +197,9 @@ def test_prepared_conjugator_matches_bare_matrix():
             for _ in range(4):
                 q = _random_stabilizer_conjugator(rng, ring, n, functionals)
                 prepared = PreparedConjugator(ctx, q)
-                assert prepared.matrix is q
+                assert prepared.context is ctx and prepared.matrix is q
                 for w in witnesses:
-                    bare = conjugate_by_stabilizer(w, q, ctx)
-                    assert conjugate_by_stabilizer(w, prepared, ctx) == bare
-                    assert bare.matrix == q.inverse() @ w.matrix @ q
+                    assert conjugate_by_stabilizer(w, prepared).matrix == q.inverse() @ w.matrix @ q
 
 
 def test_complement_module_examples():
@@ -317,24 +305,26 @@ def test_block_witness_word_realization():
         ("eo", "rs(1,4,5)", "0,5;-5,0"),
     ):
         word = parse_word(Z, kind, 2, word_text)
-        block = parse_matrix(Z, a_text)
-        expected = assemble_block(Matrix.identity(Z, 2), block,
-                                  Matrix.zeros(Z, 2, 2), Matrix.identity(Z, 2))
-        assert word.evaluate() == expected
+        assert word.evaluate() == BlockWitness(parse_matrix(Z, a_text)).matrix
+
+
+def test_block_witness_matrix():
+    a = parse_matrix(Z, "1,2;3,4")
+    assert BlockWitness(a).matrix == parse_matrix(Z, "1,0,1,2;0,1,3,4;0,0,1,0;0,0,0,1")
+    assert BlockWitness(parse_matrix(Z, "0")).matrix == Matrix.identity(Z, 2)
 
 
 def test_block_witnesses_symplectic_pinned():
     sym = form_matrix(Z, 2, "symplectic")
-    ctx = StabilizerContext(Z, 4, (), sym)
     g = unitary_generator(Z, 2, -1, 3, 1, 1)  # g e1 = e1 + e3, so y = (1, 0)
-    found = list(itertools.islice(block_unipotent_witnesses(ctx, g, 3), 3))
+    found = list(itertools.islice(block_unipotent_witnesses(sym, g, 3), 3))
     image = g.column(0)
     for w in found:
         # first row and column of the symmetric block are forced to zero
-        assert w.entries[0][2] == 0 and w.entries[0][3] == 0 and w.entries[1][2] == 0
-        assert w.apply(image) == image
-        assert preserves_form(w, sym)
-    assert found[0].entries[1][3] == 1  # free diagonal parameter walks 1, -1, 2
+        assert w.block.entries[0] == (0, 0) and w.block.entries[1][0] == 0
+        assert w.matrix.apply(image) == image
+        assert preserves_form(w.matrix, sym)
+    assert [w.block.entries[1][1] for w in found] == [1, -1, 2]  # the free diagonal parameter
 
 
 def test_block_witness_constraint_convention():
@@ -354,8 +344,7 @@ def test_block_witness_constraint_convention():
                     for j in range(i):
                         entries[i][j] = -entries[j][i]
             a = Matrix(Z, entries)
-            t = assemble_block(Matrix.identity(Z, 3), a, Matrix.zeros(Z, 3, 3),
-                               Matrix.identity(Z, 3))
+            t = BlockWitness(a).matrix
             assert preserves_form(t, form)
             w = tuple(rng.randint(-5, 5) for _ in range(6))
             moved = t.apply(w)
@@ -366,29 +355,55 @@ def test_block_witness_constraint_convention():
 
 def test_block_witnesses_identity_conjugator():
     orth = form_matrix(Z, 4, "orthogonal")
-    ctx = StabilizerContext(Z, 8, (), orth)
-    found = list(itertools.islice(block_unipotent_witnesses(ctx, Matrix.identity(Z, 8), 20), 20))
-    assert len(set(found)) == 20
+    found = list(itertools.islice(block_unipotent_witnesses(orth, Matrix.identity(Z, 8), 20), 20))
+    assert len({w.block for w in found}) == 20
     e1 = unit_vector(Z, 8, 0)
     for w in found:
-        assert w.apply(e1) == e1
+        assert w.matrix.apply(e1) == e1
 
 
 def test_block_witnesses_reject_bad_g():
     sym = form_matrix(Z, 2, "symplectic")
-    ctx = StabilizerContext(Z, 4, (), sym)
     not_symplectic = parse_matrix(Z, "1,1,0,0;0,1,0,0;0,0,1,0;0,0,0,1")
-    with pytest.raises(ValueError):
-        list(block_unipotent_witnesses(ctx, not_symplectic, 1))
+    with pytest.raises(ValueError, match="does not preserve the form"):
+        list(block_unipotent_witnesses(sym, not_symplectic, 1))
+    with pytest.raises(ValueError, match="does not match form rank"):
+        list(block_unipotent_witnesses(sym, Matrix.identity(Z, 6), 1))
 
 
 def test_block_witnesses_orthogonal_small_rank_warns():
     orth = form_matrix(Z, 2, "orthogonal")
-    ctx = StabilizerContext(Z, 4, (), orth)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        list(itertools.islice(block_unipotent_witnesses(ctx, Matrix.identity(Z, 4), 2), 2))
+        list(itertools.islice(block_unipotent_witnesses(orth, Matrix.identity(Z, 4), 2), 2))
     assert any("half-rank" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
+def test_asymmetric_block_is_a_form_violation(monkeypatch, kind):
+    # g = I gives y = 0, so the block fixes g e1 and only the symmetry check fails
+    upper_only = parse_matrix(Z, "0,1,0,0;0,0,0,0;0,0,0,0;0,0,0,0")
+    monkeypatch.setattr(rigidlin.witnesses, "_block_from_parameters",
+                        lambda form, params: upper_only)
+    form = form_matrix(Z, 4, kind)
+    with pytest.raises(IdentityViolation, match="failed form preservation"):
+        next(block_unipotent_witnesses(form, Matrix.identity(Z, 8), 1))
+
+
+def _parameters_off_the_kernel(kernel, count):
+    """Kernel parameters with one added to each coordinate."""
+    ring = kernel.ring
+    for params in combination_stream(kernel, count):
+        yield tuple(ring.add(c, ring.one) for c in params)
+
+
+def test_block_moving_g_e1_is_a_violation(monkeypatch):
+    # y = (1, 0) forces A = (0, 0; 0, c); shifted parameters give A y = (1, 1)
+    monkeypatch.setattr(rigidlin.witnesses, "combination_stream", _parameters_off_the_kernel)
+    sym = form_matrix(Z, 2, "symplectic")
+    g = unitary_generator(Z, 2, -1, 3, 1, 1)
+    with pytest.raises(IdentityViolation, match="moved g e1"):
+        next(block_unipotent_witnesses(sym, g, 1))
 
 
 def test_symplectic_row_generators_are_heisenberg():
