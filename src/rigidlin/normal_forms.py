@@ -6,12 +6,14 @@ mod m, with each Hermite pivot and each Smith diagonal entry normalised
 to its gcd with m; kernels over Z/m lift the system augmented with the
 modulus relations.  Row operations go through the ring's ``axpy``
 kernel, one call per row.
-There is one elimination engine, the row Hermite form: it pivots on the
-entry of smallest nonzero norm (ties broken by lowest row index) and
-reduces the entries above each pivot, which keeps the transforms
-deterministic and their entries small.  The Smith form is built from it
-by alternating Hermite passes on the rows and on the columns
-(Kannan–Bachem).
+There is one elimination engine, in two passes.  ``_echelon`` brings the
+rows to echelon form, pivoting on the entry of smallest nonzero norm
+(ties broken by lowest row index); kernels and row-span membership read
+this echelon alone.  The Hermite form then reduces each pivot row by the
+finished pivot rows below it, bottom-up, which keeps the transforms
+deterministic and their entries near their final size.  The Smith form
+is built from it by alternating Hermite passes on the rows and on the
+columns (Kannan–Bachem).
 
 Kernels are returned as ``KernelModule`` values and expanded into
 pairwise-distinct solution streams by walking coefficient tuples in the
@@ -57,15 +59,19 @@ def _identity_rows(ring: Ring, n: int) -> list:
     return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
-def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
-    """Row Hermite form in place: brings h to reduced row-echelon form by
-    unimodular row operations and applies each of them to the rows of u.
-    Returns (h, u)."""
+def _echelon(ring: Ring, h: list, u: list) -> list:
+    """Row echelon form in place: brings h to row-echelon form by unimodular
+    row operations and applies each of them to the rows of u.  Each pivot is
+    the entry of smallest norm left in its column (lowest row index on
+    ties), cleared below by Euclid and scaled to its canonical associate;
+    the entries above the pivots are left as they are.  Returns the pivot
+    positions [(row, col)], row k holding the k-th pivot."""
     m = len(h)
     z = ring.zero
     axpy = ring.axpy
-    r = 0
+    pivots = []
     for c in range(len(h[0])):
+        r = len(pivots)
         if r >= m:
             break
         if all(h[i][c] == z for i in range(r, m)):
@@ -94,14 +100,33 @@ def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
         if cu != ring.one:
             _row_scale(ring, h, r, cu)
             _row_scale(ring, u, r, cu)
-        tail = h[r][c:]
-        for i in range(r):
-            if h[i][c] != z:
-                q, _ = ring.divmod(h[i][c], h[r][c])
+        pivots.append((r, c))
+    return pivots
+
+
+def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
+    """Row Hermite form in place: ``_echelon``, then each pivot row, from
+    the second-to-last up to the first, is reduced left to right by the
+    pivot rows below it, which are already final.  Every row operation is
+    applied to the rows of u as well.  Returns (h, u).
+
+    The reduction only combines pivot rows, so the rows of u facing zero
+    rows of h are those of the echelon.  As ``divmod`` leaves one
+    remainder per residue class, the unit upper-triangular transform that
+    reduces the echelon is unique, so (h, u) do not depend on the order of
+    the reduction; bottom-up, its multipliers come from reduced entries and
+    the rows of u stay near their final size."""
+    pivots = _echelon(ring, h, u)
+    z = ring.zero
+    axpy = ring.axpy
+    for k in range(len(pivots) - 2, -1, -1):
+        row = h[k]
+        for r, c in pivots[k + 1:]:
+            if row[c] != z:
+                q, _ = ring.divmod(row[c], h[r][c])
                 if q != z:
-                    h[i][c:] = axpy(h[i][c:], q, tail)
-                    u[i] = axpy(u[i], q, u[r])
-        r += 1
+                    row[c:] = axpy(row[c:], q, h[r][c:])
+                    u[k] = axpy(u[k], q, u[r])
     return h, u
 
 
@@ -212,11 +237,12 @@ def _residue_lift(a: Matrix) -> Matrix:
 def kernel_basis(a: Matrix) -> KernelModule:
     """Generators of the right kernel {x : A x = 0}.
 
-    The rows of the Hermite transform of the transpose that face zero
-    rows of H generate the kernel.  Euclidean rings: those rows are a
-    basis (complete, not just finite index).  Residue rings Z/m: the
-    system is lifted to [A | m I] over the integers, and the rows are cut
-    to their first A.cols entries and reduced mod m, per the
+    The rows of the echelon transform of the transpose that face its zero
+    rows, those at index rank and beyond, generate the kernel; no Hermite
+    reduction is made, since it never touches them.  Euclidean rings:
+    those rows are a basis (complete, not just finite index).  Residue
+    rings Z/m: the system is lifted to [A | m I] over the integers, and the
+    rows are cut to their first A.cols entries and reduced mod m, per the
     augmented-congruence construction; zero and repeated ones are dropped.
     Each generator is checked once, A v = 0 over the ring of A.
     """
@@ -227,11 +253,13 @@ def kernel_basis(a: Matrix) -> KernelModule:
         lifted = a.transpose()
     else:
         raise UnsupportedRingError(f"no kernel computation over {ring.descriptor}")
-    h, u = hermite_normal_form(lifted)
-    z = lifted.ring.zero
-    rows = (v for hrow, v in zip(h.entries, u.entries) if all(x == z for x in hrow))
-    if lifted.ring is not ring:
-        rows = (tuple(x % ring.modulus for x in v[: a.cols]) for v in rows)
+    h = [list(row) for row in lifted.entries]
+    u = _identity_rows(lifted.ring, len(h))
+    rank = len(_echelon(lifted.ring, h, u))
+    if lifted.ring is ring:
+        rows = map(tuple, u[rank:])
+    else:
+        rows = (tuple(x % ring.modulus for x in v[: a.cols]) for v in u[rank:])
     basis = tuple(v for v in dict.fromkeys(rows) if not vec_is_zero(ring, v))
     for vec in basis:
         if not vec_is_zero(ring, a.apply(vec)):
@@ -312,8 +340,10 @@ def principal_kernel_family(ring: Ring, a, b, count: int) -> Iterator[tuple]:
 
 
 def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
-    """Whether vec is a ring-linear combination of the given row vectors;
-    over Z/m this is decided over Z, on ``_residue_lift`` of the rows."""
+    """Whether vec is a ring-linear combination of the given row vectors,
+    decided by reducing vec by an echelon form of the rows (any echelon
+    basis decides membership); over Z/m this is decided over Z, on
+    ``_residue_lift`` of the rows."""
     rows = [tuple(r) for r in rows]
     if any(len(r) != len(vec) for r in rows):
         raise ValueError(f"vector length {len(vec)} does not match the rows")
@@ -322,18 +352,19 @@ def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
     a = Matrix(ring, rows)
     if isinstance(ring, Modular):
         a = _residue_lift(a)
+    elif not ring.is_euclidean:
+        raise UnsupportedRingError(f"no Hermite form over {ring.descriptor}")
     ring = a.ring
-    h, _ = hermite_normal_form(a)
+    h = [list(row) for row in a.entries]
+    # the transform is never read: rows of width zero carry it for free
+    pivots = _echelon(ring, h, [[] for _ in h])
     z = ring.zero
     work = list(vec)
-    for row in h.entries:
-        pivot_col = next((j for j, x in enumerate(row) if x != z), None)
-        if pivot_col is None:
+    for r, c in pivots:
+        if work[c] == z:
             continue
-        if work[pivot_col] == z:
-            continue
-        q, rem = ring.divmod(work[pivot_col], row[pivot_col])
+        q, rem = ring.divmod(work[c], h[r][c])
         if rem != z:
             return False
-        work = ring.axpy(work, q, row)
+        work = ring.axpy(work, q, h[r])
     return all(x == z for x in work)

@@ -334,6 +334,100 @@ def test_hnf_row_span_matches_sympy():
         assert all(in_row_span(Z, ours, col) for col in theirs), grid
 
 
+# -- the top-down reference -------------------------------------------------
+
+def _top_down_hnf_core(ring, h, u):
+    """Reference Hermite engine, top-down: the entries above each pivot are
+    reduced as soon as the pivot is found, before the rows below it are
+    finished.  Same pivot rule and row operations as the library's."""
+    m = len(h)
+    z = ring.zero
+    r = 0
+    for c in range(len(h[0])):
+        if r >= m:
+            break
+        if all(h[i][c] == z for i in range(r, m)):
+            continue
+        while True:
+            _, pivot = min((ring.norm(h[i][c]), i) for i in range(r, m) if h[i][c] != z)
+            h[r], h[pivot] = h[pivot], h[r]
+            u[r], u[pivot] = u[pivot], u[r]
+            clean = True
+            for i in range(r + 1, m):
+                if h[i][c] != z:
+                    q, _ = ring.divmod(h[i][c], h[r][c])
+                    h[i] = ring.axpy(h[i], q, h[r])
+                    u[i] = ring.axpy(u[i], q, u[r])
+                    clean = clean and h[i][c] == z
+            if clean:
+                break
+        cu = ring.canonical_unit(h[r][c])
+        h[r] = [ring.mul(cu, x) for x in h[r]]
+        u[r] = [ring.mul(cu, x) for x in u[r]]
+        for i in range(r):
+            if h[i][c] != z:
+                q, _ = ring.divmod(h[i][c], h[r][c])
+                h[i] = ring.axpy(h[i], q, h[r])
+                u[i] = ring.axpy(u[i], q, u[r])
+        r += 1
+    return h, u
+
+
+def _reference_kernel(a):
+    """The distinct nonzero rows of the reference transform of A^T (of its
+    [A^T | m I] lift over Z/m, cut to A.cols entries mod m) that face zero
+    rows of the reference H."""
+    ring = a.ring
+    lifted = a.transpose()
+    if isinstance(ring, Modular):
+        lifted = rigidlin.normal_forms._residue_lift(lifted)
+    h, u = (list(map(list, m.entries)) for m in (lifted, Matrix.identity(lifted.ring, lifted.rows)))
+    _top_down_hnf_core(lifted.ring, h, u)
+    rows = [tuple(v) for hrow, v in zip(h, u) if all(x == lifted.ring.zero for x in hrow)]
+    if isinstance(ring, Modular):
+        rows = [tuple(x % ring.modulus for x in v[: a.cols]) for v in rows]
+    return tuple(v for v in dict.fromkeys(rows) if any(x != ring.zero for x in v))
+
+
+def _reduces_to_zero(ring, h, vec):
+    """Membership by reduction against a reduced Hermite form h."""
+    work = list(vec)
+    for row in h.entries:
+        c = next((j for j, x in enumerate(row) if x != ring.zero), None)
+        if c is None or work[c] == ring.zero:
+            continue
+        q, rem = ring.divmod(work[c], row[c])
+        if rem != ring.zero:
+            return False
+        work = ring.axpy(work, q, row)
+    return all(x == ring.zero for x in work)
+
+
+@pytest.mark.parametrize("ring_text", ["Z", "Z/6", "Zi", "Fp[x]/5"])
+def test_hermite_engine_matches_the_top_down_reference(monkeypatch, ring_text):
+    # the reduction order does not change the unique reducing transform, so
+    # H, U, the Smith forms built on them and the kernels all agree
+    ring = ring_from_text(ring_text)
+    rng = random.Random(f"top-down:{ring_text}")
+    pool = ring.take(9) + [ring.zero] * 3
+    shapes = [(5, 5), (6, 6), (7, 4), (8, 3), (3, 7), (4, 8)]
+    for (rows, cols), deficient in itertools.product(shapes * 2, (False, True)):
+        grid = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        if deficient:  # the last row a combination of the first two
+            grid[-1] = ring.axpy(grid[0], rng.choice(pool), grid[1])
+        a = Matrix(ring, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(rigidlin.normal_forms, "_hnf_core", _top_down_hnf_core)
+            hnf, snf = hermite_normal_form(a), smith_normal_form(a)
+        assert hermite_normal_form(a) == hnf, grid
+        assert smith_normal_form(a) == snf, grid
+        assert kernel_basis(a).basis == _reference_kernel(a), grid
+        if ring.is_euclidean:
+            for vec in (ring.axpy(grid[0], rng.choice(pool), grid[-1]),
+                        [rng.choice(pool) for _ in range(cols)]):
+                assert in_row_span(ring, grid, vec) == _reduces_to_zero(ring, hnf[0], vec)
+
+
 # -- kernels -----------------------------------------------------------------
 
 def test_kernel_examples():
@@ -415,15 +509,14 @@ def test_principal_kernel_family():
     assert len(set(everything)) == 10
 
 
-def _every_unit_vector_in_the_kernel(a):
-    """A Hermite form of zero rows only: every unit vector faces a zero row."""
-    return Matrix.zeros(a.ring, a.rows, a.cols), Matrix.identity(a.ring, a.rows)
+def _no_pivots(ring, h, u):
+    """An echelon with no pivots: every unit vector faces a zero row."""
+    return []
 
 
 @pytest.mark.parametrize("ring", [Z, Modular(6)], ids=["Z", "Z/6"])
 def test_kernel_basis_checks_each_generator(monkeypatch, ring):
-    monkeypatch.setattr(rigidlin.normal_forms, "hermite_normal_form",
-                        _every_unit_vector_in_the_kernel)
+    monkeypatch.setattr(rigidlin.normal_forms, "_echelon", _no_pivots)
     with pytest.raises(IdentityViolation, match="kernel basis vector failed A v = 0"):
         kernel_basis(parse_matrix(ring, "1,2;3,1"))
 
@@ -469,6 +562,14 @@ def test_in_row_span_refuses_a_vector_of_another_length():
         in_row_span(Z, [(1, 0)], (1, 0, 0))
     with pytest.raises(ValueError, match="vector length"):
         in_row_span(Modular(4), [(2, 1)], (2,))
+
+
+@pytest.mark.parametrize("rows", [["x,1"], ["0,0"]], ids=["rows", "zero-rows"])
+def test_in_row_span_refuses_non_euclidean_rings(rows):
+    zx = IntegerPolynomials()
+    rows = [parse_matrix(zx, text).entries[0] for text in rows]
+    with pytest.raises(UnsupportedRingError, match=r"no Hermite form over Z\[x\]"):
+        in_row_span(zx, rows, (zx.zero, zx.zero))
 
 
 def _span_by_enumeration(m, rows, cols):
