@@ -32,7 +32,6 @@ from .matrix import (
     Matrix,
     format_matrix,
     format_vector,
-    outer_product,
     unit_vector,
     vec_is_zero,
 )
@@ -351,23 +350,24 @@ def _suite_intersection(ring: Ring, p: dict) -> dict:
 
 
 def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
-                                  functionals: list) -> Matrix:
+                                  functionals: list, pool: list) -> Matrix:
     """A random (1, x; 0, A) fixing the context images: x annihilates them,
     and A is a product of unit-determinant shears I + w f with f in the
-    annihilator and f(w) = 0."""
+    annihilator and f(w) = 0.  Coefficients are drawn from pool, the ring's
+    parsed small integers.  Each factor is a rank-one update of the rows
+    of A: row -> row + (row . w) psi."""
     dim = n - 1
-    coeff_pool = [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
 
     def combo():
         out = [ring.zero] * dim
         for f in functionals:
-            c = rng.choice(coeff_pool)
+            c = rng.choice(pool)
             if c != ring.zero:
                 out = ring.axpy(out, ring.neg(c), f)
         return tuple(out)
 
     x_part = combo()
-    block = Matrix.identity(ring, dim)
+    block = Matrix.identity(ring, dim).entries
     for _ in range(rng.randint(0, 2)):
         psi = combo()
         if all(c == ring.zero for c in psi):
@@ -377,26 +377,27 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
             continue
         w = [ring.zero] * dim
         for gen in w_kernel.basis:
-            c = rng.choice(coeff_pool)
+            c = rng.choice(pool)
             if c != ring.zero:
                 w = ring.axpy(w, ring.neg(c), gen)
-        block = block @ (Matrix.identity(ring, dim) + outer_product(ring, tuple(w), psi))
+        block = [ring.axpy(row, ring.neg(d), psi) for row, d in zip(block, ring.dots(w, block))]
     top = (ring.one,) + x_part
-    return Matrix._raw(ring, (top,) + tuple((ring.zero,) + row for row in block.entries))
+    return Matrix._raw(ring, (top,) + tuple((ring.zero,) + tuple(row) for row in block))
 
 
 def _suite_conjugation(ring: Ring, p: dict) -> dict:
     n = p["n"]
+    pool = [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
     failures: list = []
     kept = []
     for t, _, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
         rng = _rng(p["seed"], "lemma-new", t)
         functionals = [w.functional for w in witnesses[:3]]
         for _ in range(p["conjugators"]):
-            q = _random_stabilizer_conjugator(rng, ring, n, functionals)
+            q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
             try:
                 prepared = PreparedConjugator(ctx, q)
-                results = [conjugate_by_stabilizer(w, prepared) for w in witnesses]
+                results = list(conjugate_by_stabilizer(witnesses, prepared))
             except (ValueError, IdentityViolation) as exc:
                 _fail(failures, f"{label} ; q={format_matrix(q)}",
                       "closed under conjugation", repr(exc))

@@ -5,7 +5,9 @@ Three constructions, all emitted through fail-fast verification:
 * first-row shears ``(1, f; 0, I)``, held as functionals f annihilating
   the first columns of the conjugating matrices; each emission, and each
   conjugate by a stabilizer element, is checked to lie in every
-  conjugated stabilizer;
+  conjugated stabilizer.  A batch of shears is conjugated by one
+  prepared stabilizer element in one pass: one ``dots`` per column of
+  its lower block, one per image;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form;
 * upper block-unipotent matrices ``(I, A; 0, I)``, held as the n x n
@@ -159,25 +161,36 @@ def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[Shear
         yield ShearWitness(ring, functional)
 
 
-def conjugate_by_stabilizer(witness: ShearWitness, q: PreparedConjugator) -> ShearWitness:
-    """Conjugate a shear by a stabilizer element q = (1, x; 0, A), prepared
-    once for its context.
+def conjugate_by_stabilizer(witnesses, q: PreparedConjugator) -> Iterator[ShearWitness]:
+    """Conjugate shears by a stabilizer element q = (1, x; 0, A), prepared
+    once for its context, yielding q^-1 * T * q for each shear T in order.
 
-    The result is T' = q^-1 * T * q, the shear with functional f' = f*A:
-    as q e1 = e1, q * T' and T * q agree off the first row, and there
-    (1, x + f') = (1, x) + (0, f)*q.  The one check is that f' annihilates
-    every projected image, which makes T' a member of the intersection
-    whatever shear it came from (``build_shear`` takes any functional).  A
-    failed check means a broken identity, never a bad input.
+    Each result is the shear with functional f' = f*A: as q e1 = e1,
+    q * T' and T * q agree off the first row, and there
+    (1, x + f') = (1, x) + (0, f)*q.  The whole batch is one column-major
+    pass: coordinate j of every f' is one ``dots`` of column j of A against
+    the functionals.  The one check, one ``dots`` per projected image
+    against every f', is that each f' annihilates every image, which makes
+    each T' a member of the intersection whatever shear it came from
+    (``build_shear`` takes any functional).  A shear of another ring or
+    length is refused (``ValueError``) before anything is yielded; a failed
+    check means a broken identity, never a bad input.
     """
     ctx = q.context
-    ring = ctx.ring
-    if len(witness.functional) != ctx.size - 1:
-        raise ValueError(f"shear functional length {len(witness.functional)} != {ctx.size - 1}")
-    functional = ring.dots(witness.functional, q.lower_columns)
-    if not vec_is_zero(ring, ring.dots(functional, ctx.projected_images)):
-        raise IdentityViolation("conjugated functional does not annihilate an image")
-    return ShearWitness(ring, functional)
+    ring, dim = ctx.ring, ctx.size - 1
+    functionals = []
+    for witness in witnesses:
+        if witness.ring is not ring and witness.ring != ring:
+            raise ValueError(f"shear ring {witness.ring.descriptor} != {ring.descriptor}")
+        if len(witness.functional) != dim:
+            raise ValueError(f"shear functional length {len(witness.functional)} != {dim}")
+        functionals.append(witness.functional)
+    conjugated = tuple(zip(*(ring.dots(column, functionals) for column in q.lower_columns)))
+    for image in ctx.projected_images:
+        if not vec_is_zero(ring, ring.dots(image, conjugated)):
+            raise IdentityViolation("conjugated functional does not annihilate an image")
+    for functional in conjugated:
+        yield ShearWitness(ring, functional)
 
 
 def complement_module(form: BilinearForm, vectors) -> KernelModule:

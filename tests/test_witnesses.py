@@ -7,12 +7,15 @@ import pytest
 import rigidlin.witnesses
 from rigidlin import (
     BlockWitness,
+    GaussianIntegers,
     IdentityViolation,
     Integers,
     Matrix,
     Modular,
     NotInvertibleError,
     PreparedConjugator,
+    PrimeFieldPolynomials,
+    ShearWitness,
     StabilizerContext,
     block_unipotent_witnesses,
     build_shear,
@@ -22,6 +25,7 @@ from rigidlin import (
     form_matrix,
     in_row_span,
     intersection_witnesses,
+    kernel_basis,
     parse_matrix,
     parse_word,
     preserves_form,
@@ -31,6 +35,7 @@ from rigidlin import (
     unit_vector,
     unitary_generator,
 )
+from rigidlin.matrix import outer_product
 from rigidlin.normal_forms import combination_stream
 from rigidlin.suites import (
     _random_stabilizer_conjugator,
@@ -121,10 +126,12 @@ def test_conjugate_by_identity_and_row_shears():
     ctx = StabilizerContext(Z, 4, ())
     witness = build_shear(Z, 4, (1, 2, 3))
     identity = PreparedConjugator(ctx, Matrix.identity(Z, 4))
-    assert conjugate_by_stabilizer(witness, identity).functional == (1, 2, 3)
+    [result] = conjugate_by_stabilizer([witness], identity)
+    assert result.functional == (1, 2, 3)
     # a pure row shear (lower block identity) leaves the functional alone
     q = PreparedConjugator(ctx, build_shear(Z, 4, (7, -1, 0)).matrix)
-    assert conjugate_by_stabilizer(witness, q).functional == (1, 2, 3)
+    [result] = conjugate_by_stabilizer([witness], q)
+    assert result.functional == (1, 2, 3)
 
 
 def test_conjugate_by_block_embedding():
@@ -132,7 +139,7 @@ def test_conjugate_by_block_embedding():
     q = parse_matrix(Z, "1,0,0;0,0,1;0,-1,0")  # A = (0, 1; -1, 0)
     ctx = StabilizerContext(Z, 3, ())
     witness = build_shear(Z, 3, (2, 5))
-    result = conjugate_by_stabilizer(witness, PreparedConjugator(ctx, q))
+    [result] = conjugate_by_stabilizer([witness], PreparedConjugator(ctx, q))
     assert result.functional == (-5, 2)  # (2,5) @ [[0,1],[-1,0]]
     assert result.matrix == q.inverse() @ witness.matrix @ q
 
@@ -145,7 +152,7 @@ def test_conjugate_respects_context_constraints():
         PreparedConjugator(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"))
     # one that fixes it is accepted and the new functional annihilates it
     good = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
-    result = conjugate_by_stabilizer(witness, good)
+    [result] = conjugate_by_stabilizer([witness], good)
     assert sum(x * u for x, u in zip(result.functional, (1, 0))) == 0
 
 
@@ -162,9 +169,11 @@ def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
     # image tail (1, 0), so no conjugate of its shear is a member
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
     outsider = build_shear(Z, 3, (1, 0))
+    member = build_shear(Z, 3, (0, 1))
     for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
+        stream = conjugate_by_stabilizer([member, outsider, member], PreparedConjugator(ctx, q))
         with pytest.raises(IdentityViolation, match="does not annihilate an image"):
-            conjugate_by_stabilizer(outsider, PreparedConjugator(ctx, q))
+            next(stream)  # no member of the batch is yielded first
 
 
 def test_prepared_conjugator_rejects_bad_input():
@@ -182,24 +191,109 @@ def test_prepared_conjugator_rejects_bad_input():
     # a shear of another size is refused
     prepared = PreparedConjugator(ctx, Matrix.identity(Z, 3))
     with pytest.raises(ValueError, match="length"):
-        conjugate_by_stabilizer(build_shear(Z, 4, (0, 0, 1)), prepared)
+        list(conjugate_by_stabilizer([build_shear(Z, 4, (0, 0, 1))], prepared))
+
+
+def test_conjugate_an_empty_batch_yields_nothing():
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    prepared = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
+    assert list(conjugate_by_stabilizer([], prepared)) == []
+    assert list(conjugate_by_stabilizer(iter(()), prepared)) == []
+
+
+@pytest.mark.parametrize("bad, message", [(build_shear(Z, 4, (0, 0, 1)), "length"),
+                                          (ShearWitness(Modular(7), (5, 6)), "ring")],
+                         ids=["length", "ring"])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_conjugate_refuses_a_bad_shear_before_yielding(bad, message, position):
+    # a shear over Z/7 used to come back silently as a shear over Z
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    prepared = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
+    batch = [build_shear(Z, 3, (0, c)) for c in range(4)]
+    batch.insert(position, bad)
+    stream = conjugate_by_stabilizer(batch, prepared)
+    with pytest.raises(ValueError, match=message):
+        next(stream)
+
+
+def _pool(ring):
+    return [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
+
+
+_RINGS = {"Z": Z, "Z/7": Modular(7), "Zi": GaussianIntegers(), "Fp[x]/5": PrimeFieldPolynomials(5)}
 
 
 def test_conjugate_matches_the_dense_product():
-    # T' = q^-1 T q on random stabilizer elements fixing the context images
+    # T' = q^-1 T q on random stabilizer elements fixing the context images,
+    # whole batches at once: same length, same order
     rng = random.Random(89)
-    for ring in (Z, Modular(7)):
+    for ring in _RINGS.values():
+        pool = _pool(ring)
         for n in (3, 4, 5):
             word = random_elementary_word(rng, ring, n, 4)
             ctx = StabilizerContext(ring, n, (word.evaluate(),))
             witnesses = list(itertools.islice(intersection_witnesses(ctx, 6), 6))
             functionals = [w.functional for w in witnesses[:3]]
             for _ in range(4):
-                q = _random_stabilizer_conjugator(rng, ring, n, functionals)
+                q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
                 prepared = PreparedConjugator(ctx, q)
                 assert prepared.context is ctx and prepared.matrix is q
-                for w in witnesses:
-                    assert conjugate_by_stabilizer(w, prepared).matrix == q.inverse() @ w.matrix @ q
+                results = list(conjugate_by_stabilizer(witnesses, prepared))
+                assert len(results) == len(witnesses)
+                q_inverse = q.inverse()
+                for w, result in zip(witnesses, results):
+                    assert result.matrix == q_inverse @ w.matrix @ q
+
+
+def _dense_stabilizer_conjugator(rng, ring, n, functionals):
+    """The conjugator as built by dense products, block @ (I + w psi), with
+    the same draws in the same order."""
+    dim = n - 1
+    pool = _pool(ring)
+
+    def combo():
+        out = [ring.zero] * dim
+        for f in functionals:
+            c = rng.choice(pool)
+            if c != ring.zero:
+                out = ring.axpy(out, ring.neg(c), f)
+        return tuple(out)
+
+    x_part = combo()
+    block = Matrix.identity(ring, dim)
+    for _ in range(rng.randint(0, 2)):
+        psi = combo()
+        if all(c == ring.zero for c in psi):
+            continue
+        w_kernel = kernel_basis(Matrix(ring, [list(psi)]))
+        if not w_kernel.basis:
+            continue
+        w = [ring.zero] * dim
+        for gen in w_kernel.basis:
+            c = rng.choice(pool)
+            if c != ring.zero:
+                w = ring.axpy(w, ring.neg(c), gen)
+        block = block @ (Matrix.identity(ring, dim) + outer_product(ring, tuple(w), psi))
+    top = (ring.one,) + x_part
+    return Matrix._raw(ring, (top,) + tuple((ring.zero,) + row for row in block.entries))
+
+
+@pytest.mark.parametrize("name", list(_RINGS))
+def test_random_conjugator_matches_the_dense_reference(name):
+    ring = _RINGS[name]
+    pool = _pool(ring)
+    rng = random.Random(97)
+    nontrivial = 0
+    for n in (3, 4, 5):
+        ctx = StabilizerContext(ring, n, (random_elementary_word(rng, ring, n, 4).evaluate(),))
+        functionals = [w.functional for w in itertools.islice(intersection_witnesses(ctx, 3), 3)]
+        for trial in range(8):
+            ours, reference = random.Random(f"{n}:{trial}"), random.Random(f"{n}:{trial}")
+            q = _random_stabilizer_conjugator(ours, ring, n, functionals, pool)
+            assert q == _dense_stabilizer_conjugator(reference, ring, n, functionals)
+            assert ours.getstate() == reference.getstate()  # the same draws
+            nontrivial += q.entries[1:] != Matrix.identity(ring, n).entries[1:]
+    assert nontrivial  # some lower block is not the identity
 
 
 def test_complement_module_examples():
