@@ -10,8 +10,11 @@ pair (i, j) and (sigma j, sigma i) with a mirrored parameter.
 
 Group membership is carried constructively: elements are generator words
 and matrices are checked only against the invariants (determinant, form
-preservation), never against an abstract membership predicate.  The forms
-act through ``BilinearForm.covector``, a signed swap of the two blocks.
+preservation), never against an abstract membership predicate.  A word is
+evaluated by column operations on the identity, one ``Ring.axpy`` per
+off-diagonal entry of each generator, without building the generators'
+matrices.  The forms act through ``BilinearForm.covector``, a signed swap
+of the two blocks.
 """
 
 from __future__ import annotations
@@ -197,21 +200,24 @@ class GeneratorWord:
     def epsilon(self) -> int:
         return {"esp": -1, "eo": 1}.get(self.kind, 0)
 
-    def token_matrix(self, tok: WordToken) -> Matrix:
-        param = tok.param if tok.exponent == 1 else self.ring.neg(tok.param)
-        if tok.tag == "e":
-            return elementary_matrix(self.ring, self.n, tok.i, tok.j, param)
-        if tok.tag == "rl":
-            return unitary_generator(
-                self.ring, self.n, -1, tok.i, sigma_index(self.n, tok.i), param
-            )
-        return unitary_generator(self.ring, self.n, self.epsilon, tok.i, tok.j, param)
-
     def evaluate(self) -> Matrix:
-        acc = Matrix.identity(self.ring, self.matrix_size)
+        """The product of the tokens, left to right, by column operations on
+        the identity: right multiplication by I + r*E_ij adds r times column
+        i to column j, and a short root's mirrored entry -a' (a' as in
+        ``unitary_generator``) adds -a' times column sigma j to column
+        sigma i, a disjoint pair.  The tokens were checked at construction."""
+        ring, n, eps = self.ring, self.n, self.epsilon
+        cols = list(Matrix.identity(ring, self.matrix_size).entries)  # symmetric: rows are columns
         for tok in self.tokens:
-            acc = acc @ self.token_matrix(tok)
-        return acc
+            a = tok.param if tok.exponent == 1 else ring.neg(tok.param)
+            i = tok.i - 1
+            j = sigma_index(n, tok.i) - 1 if tok.tag == "rl" else tok.j - 1
+            cols[j] = ring.axpy(cols[j], ring.neg(a), cols[i])
+            if tok.tag == "rs":
+                mirrored = a if eps == 1 or (tok.i <= n) == (tok.j <= n) else ring.neg(a)
+                si, sj = sigma_index(n, tok.i) - 1, sigma_index(n, tok.j) - 1
+                cols[si] = ring.axpy(cols[si], mirrored, cols[sj])
+        return Matrix._raw(ring, tuple(zip(*cols)))
 
     def inverse(self) -> "GeneratorWord":
         flipped = tuple(

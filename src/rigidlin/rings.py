@@ -482,6 +482,9 @@ class _PolynomialRing(Ring):
         )
 
     def add(self, a, b):
+        if len(a) == 1 == len(b):
+            c = (a[0] + b[0]) % self._modulus if self._modulus else a[0] + b[0]
+            return (c,) if c else ()
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -506,6 +509,8 @@ class _PolynomialRing(Ring):
         return _strip(out)
 
     def mul(self, a, b):
+        if len(a) == 1 == len(b):  # both rings are domains: the product is nonzero
+            return ((a[0] * b[0]) % self._modulus,) if self._modulus else (a[0] * b[0],)
         if not a or not b:
             return ()
         if (len(a) * len(b) >= _KRONECKER_MIN_WORK and len(a) > 1 and len(b) > 1
@@ -525,6 +530,8 @@ class _PolynomialRing(Ring):
         return tuple(out)  # both rings are domains: the leading term survives
 
     def neg(self, a):
+        if not a:
+            return ()
         if self._modulus:
             p = self._modulus
             return tuple(-c % p for c in a)

@@ -107,8 +107,8 @@ def _small_params(ring: Ring, bound: int = 3) -> list:
 
 
 def random_elementary_word(rng: random.Random, ring: Ring, n: int, length: int,
-                           bound: int = 3) -> GeneratorWord:
-    pool = _small_params(ring, bound)
+                           pool: list | None = None) -> GeneratorWord:
+    pool = _small_params(ring) if pool is None else pool
     tokens = []
     for _ in range(length):
         i = rng.randrange(1, n + 1)
@@ -120,11 +120,11 @@ def random_elementary_word(rng: random.Random, ring: Ring, n: int, length: int,
 
 
 def random_unitary_word(rng: random.Random, ring: Ring, kind: str, n: int, length: int,
-                        bound: int = 3) -> GeneratorWord:
+                        pool: list | None = None) -> GeneratorWord:
     if n < 2:
         # at half-rank 1 every index j is i or sigma(i): no short root exists
         raise ValueError(f"random unitary words need half-rank n >= 2, got {n}")
-    pool = _small_params(ring, bound)
+    pool = _small_params(ring) if pool is None else pool
     size = 2 * n
     tokens = []
     for _ in range(length):
@@ -318,10 +318,11 @@ def _stabilizer_trials(ring: Ring, p: dict, failures: list):
     n = p["n"]
     if n < 3:
         raise ValueError(f"the stabilizer suites need n >= 3, got {n}")
+    params = _small_params(ring, p["param_bound"])
     for t in range(p["trials"]):
         rng = _rng(p["seed"], "lemma-ke", t)
-        words = [random_elementary_word(rng, ring, n, rng.randint(1, p["word_length"]),
-                                        p["param_bound"]) for _ in range(n - 2)]
+        words = [random_elementary_word(rng, ring, n, rng.randint(1, p["word_length"]), params)
+                 for _ in range(n - 2)]
         ctx = StabilizerContext(ring, n, tuple(w.evaluate() for w in words))
         label = " | ".join(format_word(w) for w in words)
         try:
@@ -481,14 +482,15 @@ def _suite_forms_generators(ring: Ring, p: dict) -> dict:
                       str(sigma_index(n, sigma_index(n, k))))
     # determinant-one and inverse identities on random words
     rng = _rng(p["seed"], "forms-generators-words", 0)
+    pool = _small_params(ring)
     for t in range(p["words"]):
         kind = rng.choice(("en", "esp", "eo"))
         n = rng.choice((2, 3))
         length = rng.randint(1, 8)
         if kind == "en":
-            word = random_elementary_word(rng, ring, n + 1, length)
+            word = random_elementary_word(rng, ring, n + 1, length, pool)
         else:
-            word = random_unitary_word(rng, ring, kind, n, length)
+            word = random_unitary_word(rng, ring, kind, n, length, pool)
         m = word.evaluate()
         checks += 1
         if m.det() != ring.one:  # every generator is unipotent
@@ -499,7 +501,7 @@ def _suite_forms_generators(ring: Ring, p: dict) -> dict:
     # stabilization embedding respects the symplectic form
     rng = _rng(p["seed"], "forms-generators-embed", 0)
     for _ in range(10):
-        word = random_unitary_word(rng, ring, "esp", 2, rng.randint(1, 5))
+        word = random_unitary_word(rng, ring, "esp", 2, rng.randint(1, 5), pool)
         m = word.evaluate()
         bigger = embed_stabilize(m)
         checks += 1
@@ -526,8 +528,7 @@ def _isotropic_pool(ctx: StabilizerContext) -> list:
     return [tuple(h) + zero_tail for h in heads]
 
 
-def _combine(rng: random.Random, ring: Ring, vectors: list, size: int) -> tuple:
-    coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
+def _combine(rng: random.Random, ring: Ring, vectors: list, size: int, coeffs: list) -> tuple:
     out = tuple(ring.zero for _ in range(size))
     for v in vectors:
         if rng.random() < 0.5:
@@ -549,6 +550,8 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
     failures: list = []
     kept = []
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
+    params = _small_params(ring)
+    coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
     # exactly p["trials"] trials: the first pairs take the remainder
     per_combo, extra = divmod(p["trials"], len(combos))
     for index, (kind, n) in enumerate(combos):
@@ -558,7 +561,7 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
             rng = _rng(p["seed"], f"transvections:{kind}:{n}", t)
             k = rng.randint(0, min(2, n - 1))
             conjugators = tuple(
-                random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4)).evaluate()
+                random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4), params).evaluate()
                 for _ in range(k)
             )
             ctx = StabilizerContext(ring, 2 * n, conjugators, form)
@@ -566,12 +569,12 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
             label = f"{kind} n={n} k={k}"
             if not pool:
                 continue
-            u = _combine(rng, ring, pool, 2 * n)
-            v = _combine(rng, ring, pool, 2 * n)
-            r = rng.choice(_small_params(ring))
-            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4))
-            u2 = _combine(rng, ring, pool, 2 * n)
-            v2 = _combine(rng, ring, pool, 2 * n)
+            u = _combine(rng, ring, pool, 2 * n, coeffs)
+            v = _combine(rng, ring, pool, 2 * n, coeffs)
+            r = rng.choice(params)
+            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 4), params)
+            u2 = _combine(rng, ring, pool, 2 * n, coeffs)
+            v2 = _combine(rng, ring, pool, 2 * n, coeffs)
             g = g_word.evaluate()
             # every transvection checks its own form preservation
             try:
@@ -607,13 +610,15 @@ def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
     kept = []
     need = p["need"]
     trials = 0
+    params = _small_params(ring)
     for kind, n in p["configs"]:
         form = form_matrix(ring, n, kind)
         word_kind = "esp" if kind == "symplectic" else "eo"
         for t in range(p["trials"]):
             trials += 1
             rng = _rng(p["seed"], f"t-a:{kind}:{n}", t)
-            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, p["word_length"]))
+            g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, p["word_length"]),
+                                         params)
             g = g_word.evaluate()
             label = f"{kind} n={n} g={format_word(g_word)}"
             try:

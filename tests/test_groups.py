@@ -199,6 +199,48 @@ def test_word_inverse_token():
     assert (word.evaluate() @ elementary_matrix(Z, 2, 1, 2, 1)).is_identity()
 
 
+def _dense_word_reference(word):
+    """The product of the tokens' dense generator matrices, left to right."""
+    ring, n = word.ring, word.n
+    acc = Matrix.identity(ring, word.matrix_size)
+    for tok in word.tokens:
+        param = tok.param if tok.exponent == 1 else ring.neg(tok.param)
+        if tok.tag == "e":
+            gen = elementary_matrix(ring, n, tok.i, tok.j, param)
+        elif tok.tag == "rl":
+            gen = unitary_generator(ring, n, -1, tok.i, sigma_index(n, tok.i), param)
+        else:
+            gen = unitary_generator(ring, n, word.epsilon, tok.i, tok.j, param)
+        acc = acc @ gen
+    return acc
+
+
+@pytest.mark.parametrize("text", ["Z", "Z/6", "Zi", "Fp[x]/5"])
+def test_word_evaluation_matches_dense_products(text):
+    ring = ring_from_text(text)
+    rng = random.Random(f"dense-words:{text}")
+    pool = [c for c in ring.take(40) if c != ring.zero]
+    seen = set()
+    for _ in range(150):
+        kind = rng.choice(("en", "esp", "eo"))
+        length = rng.randint(0, 8)
+        if kind == "en":
+            word = random_elementary_word(rng, ring, rng.randint(2, 5), length, pool)
+        else:
+            word = random_unitary_word(rng, ring, kind, rng.choice((2, 3)), length, pool)
+        for tok in word.tokens:
+            same_block = tok.j is not None and (tok.i <= word.n) == (tok.j <= word.n)
+            seen.add((kind, tok.tag, same_block if tok.tag == "rs" else None, tok.exponent))
+        if not word.tokens:
+            seen.add((kind, "empty"))
+        assert word.evaluate() == _dense_word_reference(word), format_word(word)
+    # every kind of token, both mirror cases and both exponents were drawn
+    want = {("en", "e", None, e) for e in (1, -1)} | {("esp", "rl", None, e) for e in (1, -1)}
+    want |= {(k, "rs", same, e) for k in ("esp", "eo") for same in (True, False) for e in (1, -1)}
+    want |= {(k, "empty") for k in ("en", "esp", "eo")}
+    assert want <= seen
+
+
 def test_word_roundtrip_and_validation():
     word = parse_word(Z, "esp", 2, "rl(1,3);rs(1,2,-2)^-1;rs(3,2,1)")
     assert parse_word(Z, "esp", 2, format_word(word)) == word

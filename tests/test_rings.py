@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -275,6 +276,60 @@ def test_polynomial_arithmetic_matches_sympy(ring):
         assert ring.sub(a, b) == from_sympy(sub(fa, fb))
         assert ring.mul(a, b) == from_sympy(mul(fa, fb))
         assert ring.neg(a) == from_sympy(neg(fa))
+
+
+def _schoolbook(p):
+    """add, sub, mul and neg on coefficient tuples, reduced mod p when p is
+    given, with trailing zeros stripped."""
+    def strip(cs):
+        cs = [c % p for c in cs] if p else list(cs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    def add(a, b):
+        return strip(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+    def mul(a, b):
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return strip(out)
+
+    def neg(a):
+        return strip(-c for c in a)
+
+    return add, lambda a, b: add(a, neg(b)), mul, neg
+
+
+@pytest.mark.parametrize("ring", [PrimeFieldPolynomials(5), PrimeFieldPolynomials(4294967311),
+                                  IntegerPolynomials()], ids=ring_id)
+def test_constant_arithmetic_matches_schoolbook(ring):
+    p = getattr(ring, "p", None)
+    add, sub, mul, neg = _schoolbook(p)
+    rng = random.Random(f"constants:{ring.descriptor}")
+    if p == 5:
+        values = list(range(1, 5))  # every nonzero constant
+    elif p:
+        values = [1, 2, p - 1, p - 2] + [rng.randrange(1, p) for _ in range(12)]
+    else:
+        values = [1, -1, 2, -2, 10**40, -(10**40)] + [rng.randint(-10**30, 10**30) or 1
+                                                      for _ in range(12)]
+    constants = [()] + [(c,) for c in values]
+    for a in constants:
+        assert ring.neg(a) == neg(a)
+        for b in constants:
+            assert ring.add(a, b) == add(a, b), (a, b)
+            assert ring.sub(a, b) == sub(a, b), (a, b)
+            assert ring.mul(a, b) == mul(a, b), (a, b)
+    assert ring.neg(()) == ()
+    if p == 5:
+        assert ring.add((2,), (3,)) == () and ring.sub((2,), (2,)) == ()
+    elif p:
+        assert ring.add((1,), (p - 1,)) == ()
+    else:
+        assert ring.add((7,), (-7,)) == () and ring.add((10**40,), (-(10**40),)) == ()
 
 
 # the fewest coefficients a partner of a two-coefficient operand needs to pack
