@@ -5,6 +5,10 @@ per trial (``Random(f"{seed}:{label}:{trial}")``, which hashes the string
 with SHA-512, so the split is stable across platforms and runs).  A
 report serializes to JSON with sorted keys; rerunning with the same seed
 reproduces it byte for byte apart from the elapsed-time field.
+
+Each run has one ``_Checker``: ``expect`` counts each verified identity, and
+``attempt`` turns a violation raised by an emitter into one failure of its
+trial.  A failure's fields are built only when its check fails.
 """
 
 from __future__ import annotations
@@ -91,8 +95,32 @@ def _rng(seed: int, label: str, trial: int) -> random.Random:
     return random.Random(f"{seed}:{label}:{trial}")
 
 
-def _fail(failures: list, input_: str, expected: str, got: str):
-    failures.append({"input": input_, "expected": expected, "got": got})
+class _Checker:
+    """One run's failures, samples and count of verified identities.  The
+    payload callables, ``failure() -> (input, expected, got)`` and
+    ``where() -> (input, expected)``, are called only on a failure."""
+
+    def __init__(self):
+        self.failures: list = []
+        self.samples: list = []
+        self.checks = 0
+
+    def expect(self, ok: bool, failure) -> bool:
+        """Count one verified identity, and record ``failure()`` unless ok."""
+        self.checks += 1
+        if not ok:
+            input_, expected, got = failure()
+            self.failures.append({"input": input_, "expected": expected, "got": got})
+        return ok
+
+    def attempt(self, where, build, errors=IdentityViolation):
+        """``build()``, or None after recording one of errors as a failure."""
+        try:
+            return build()
+        except errors as exc:
+            input_, expected = where()
+            self.failures.append({"input": input_, "expected": expected, "got": repr(exc)})
+            return None
 
 
 def _small_params(ring: Ring, bound: int = 3) -> list:
@@ -143,16 +171,14 @@ def random_unitary_word(rng: random.Random, ring: Ring, kind: str, n: int, lengt
 
 # -- suite implementations ---------------------------------------------------
 
-def _suite_ring_axioms(ring: Ring, p: dict) -> dict:
+def _suite_ring_axioms(ring: Ring, p: dict, check: _Checker) -> dict:
     samples = p["samples"]
     pool = ring.take(100)
-    failures: list = []
-    kept = []
     rng = _rng(p["seed"], "ring-axioms", 0)
     for t in range(samples):
         a, b, c = (rng.choice(pool) for _ in range(3))
         triple = f"({ring.format(a)}, {ring.format(b)}, {ring.format(c)})"
-        checks = (
+        laws = (
             ("(a+b)+c == a+(b+c)",
              ring.add(ring.add(a, b), c), ring.add(a, ring.add(b, c))),
             ("a*b == b*a", ring.mul(a, b), ring.mul(b, a)),
@@ -161,12 +187,12 @@ def _suite_ring_axioms(ring: Ring, p: dict) -> dict:
             ("a*1 == a", ring.mul(a, ring.one), a),
             ("a+0 == a", ring.add(a, ring.zero), a),
         )
-        for law, lhs, rhs in checks:
-            if lhs != rhs:
-                _fail(failures, f"{law} on {triple}", ring.format(rhs), ring.format(lhs))
+        for law, lhs, rhs in laws:
+            check.expect(lhs == rhs,
+                         lambda: (f"{law} on {triple}", ring.format(rhs), ring.format(lhs)))
         if t < 3:
-            kept.append(triple)
-    return {"trials": samples, "failures": failures, "samples": kept}
+            check.samples.append(triple)
+    return {"trials": samples}
 
 
 def _int_matrix(rng: random.Random, ring: Ring, rows: int, cols: int, bound: int) -> Matrix:
@@ -182,69 +208,58 @@ def _minor_gcd(a: Matrix, k: int) -> int:
     return g
 
 
-def _suite_snf_oracle(ring: Ring, p: dict) -> dict:
+def _suite_snf_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
     if not isinstance(ring, Integers):
         raise UnsupportedRingError("the Smith-form oracle suite runs over Z")
-    failures: list = []
-    kept = []
     for t in range(p["trials"]):
         rng = _rng(p["seed"], "snf-oracle", t)
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = _int_matrix(rng, ring, rows, cols, 9)
         d, u, v = smith_normal_form(a)
         label = format_matrix(a)
-        if u @ a @ v != d:
-            _fail(failures, label, "U*A*V == D", format_matrix(u @ a @ v))
+        uav = u @ a @ v
+        if not check.expect(uav == d, lambda: (label, "U*A*V == D", format_matrix(uav))):
             continue
-        if u.det() not in (1, -1) or v.det() not in (1, -1):
-            _fail(failures, label, "unimodular U, V", f"det(U)={u.det()}, det(V)={v.det()}")
+        check.expect(u.det() in (1, -1) and v.det() in (1, -1),
+                     lambda: (label, "unimodular U, V", f"det(U)={u.det()}, det(V)={v.det()}"))
         diag = [d.entries[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag) - 1):
             ok = (diag[i + 1] == 0) if diag[i] == 0 else (diag[i + 1] % diag[i] == 0)
-            if not ok:
-                _fail(failures, label, "divisibility chain", str(diag))
-        off_diag = [
-            d.entries[i][j] for i in range(rows) for j in range(cols) if i != j
-        ]
-        if any(off_diag):
-            _fail(failures, label, "diagonal D", format_matrix(d))
+            check.expect(ok, lambda: (label, "divisibility chain", str(diag)))
+        off_diag = [d.entries[i][j] for i in range(rows) for j in range(cols) if i != j]
+        check.expect(not any(off_diag), lambda: (label, "diagonal D", format_matrix(d)))
         product = 1
         for k in range(1, min(rows, cols) + 1):
             product *= abs(diag[k - 1])
             oracle = _minor_gcd(a, k)
-            if product != oracle:
-                _fail(failures, label, f"d1..d{k} == gcd of {k}x{k} minors ({oracle})", str(product))
+            check.expect(product == oracle, lambda: (
+                label, f"d1..d{k} == gcd of {k}x{k} minors ({oracle})", str(product)))
         if t < 2:
-            kept.append({"matrix": label, "d": format_matrix(d),
-                         "u": format_matrix(u), "v": format_matrix(v)})
-    return {"trials": p["trials"], "failures": failures, "samples": kept}
+            check.samples.append({"matrix": label, "d": format_matrix(d),
+                                  "u": format_matrix(u), "v": format_matrix(v)})
+    return {"trials": p["trials"]}
 
 
-def _suite_kernel_oracle(ring: Ring, p: dict) -> dict:
+def _suite_kernel_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
     if not isinstance(ring, Integers):
         raise UnsupportedRingError("the kernel oracle suite runs over Z")
     box = p["box"]
-    failures: list = []
-    kept = []
     for t in range(p["trials"]):
         rng = _rng(p["seed"], "kernel-oracle", t)
         rows, cols = rng.randint(1, 2), rng.randint(1, 3)
         a = _int_matrix(rng, ring, rows, cols, 4)
         label = format_matrix(a)
-        try:
-            kernel = kernel_basis(a)
-        except IdentityViolation as exc:
-            _fail(failures, label, "A v == 0", repr(exc))
+        kernel = check.attempt(lambda: (label, "A v == 0"), lambda: kernel_basis(a))
+        if kernel is None:
             continue
-        grid = a.entries
         for point in itertools.product(range(-box, box + 1), repeat=cols):
-            if all(sum(r * x for r, x in zip(row, point)) == 0 for row in grid):
-                if any(point) and not in_row_span(ring, kernel.basis, point):
-                    _fail(failures, label, "box kernel vector in span of basis", str(point))
+            if any(point) and all(sum(r * x for r, x in zip(row, point)) == 0 for row in a.entries):
+                check.expect(in_row_span(ring, kernel.basis, point),
+                             lambda: (label, "box kernel vector in span of basis", str(point)))
         if t < 2:
-            kept.append({"matrix": label,
-                         "basis": [format_vector(ring, v) for v in kernel.basis]})
-    return {"trials": p["trials"], "failures": failures, "samples": kept}
+            check.samples.append({"matrix": label,
+                                  "basis": [format_vector(ring, v) for v in kernel.basis]})
+    return {"trials": p["trials"]}
 
 
 # Largest m**3 the finite branch of rigidity-empirical accepts: each trial
@@ -252,9 +267,7 @@ def _suite_kernel_oracle(ring: Ring, p: dict) -> dict:
 RIGIDITY_ENUMERATION_CAP = 8000
 
 
-def _suite_rigidity(ring: Ring, p: dict) -> dict:
-    failures: list = []
-    kept = []
+def _suite_rigidity(ring: Ring, p: dict, check: _Checker) -> dict:
     if ring.is_finite:
         m = ring.cardinality
         if m ** 3 > RIGIDITY_ENUMERATION_CAP:
@@ -270,23 +283,20 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
             space = list(itertools.product(range(m), repeat=cols))
             kernel_vectors = {v for v in space if vec_is_zero(ring, a.apply(v))}
             image = {a.apply(v) for v in space}
-            if len(kernel_vectors) * len(image) != m ** cols:
-                _fail(failures, label, f"|ker|*|im| == {m ** cols}",
-                      f"{len(kernel_vectors)}*{len(image)}")
-            try:
-                streamed = list(solution_stream(a, m ** cols + 5))
-            except IdentityViolation as exc:
-                _fail(failures, label, "kernel membership", repr(exc))
+            check.expect(len(kernel_vectors) * len(image) == m ** cols, lambda: (
+                label, f"|ker|*|im| == {m ** cols}", f"{len(kernel_vectors)}*{len(image)}"))
+            streamed = check.attempt(lambda: (label, "kernel membership"),
+                                     lambda: list(solution_stream(a, m ** cols + 5)))
+            if streamed is None:
                 continue
-            if set(streamed) != kernel_vectors - {tuple([0] * cols)}:
-                _fail(failures, label, "stream == nonzero kernel", str(len(streamed)))
-            if len(streamed) != len(set(streamed)):
-                _fail(failures, label, "stream distinct", str(len(streamed)))
+            check.expect(set(streamed) == kernel_vectors - {tuple([0] * cols)},
+                         lambda: (label, "stream == nonzero kernel", str(len(streamed))))
+            check.expect(len(streamed) == len(set(streamed)),
+                         lambda: (label, "stream distinct", str(len(streamed))))
             if t < 3:
-                kept.append({"matrix": label, "kernel_size": len(kernel_vectors),
-                             "image_size": len(image)})
-        return {"trials": trials, "failures": failures, "samples": kept,
-                "extra": {"finite_ring": True}}
+                check.samples.append({"matrix": label, "kernel_size": len(kernel_vectors),
+                                      "image_size": len(image)})
+        return {"trials": trials, "extra": {"finite_ring": True}}
 
     trials, need = p["trials"], p["need"]
     pool = ring.take(40)
@@ -297,21 +307,18 @@ def _suite_rigidity(ring: Ring, p: dict) -> dict:
         label = f"({ring.format(a)}, {ring.format(b)})"
         stream = (principal_kernel_family(ring, a, b, need) if use_family
                   else solution_stream(Matrix(ring, [[a, b]]), need))
-        try:
-            found = list(stream)
-        except IdentityViolation as exc:
-            _fail(failures, label, "kernel membership", repr(exc))
+        found = check.attempt(lambda: (label, "kernel membership"), lambda: list(stream))
+        if found is None:
             continue
-        if len(set(found)) < need:
-            _fail(failures, label, f">= {need} distinct kernel elements", str(len(set(found))))
+        check.expect(len(set(found)) >= need, lambda: (
+            label, f">= {need} distinct kernel elements", str(len(set(found)))))
         if t < 2:
-            kept.append({"map": label,
-                         "kernel_sample": [format_vector(ring, v) for v in found[:3]]})
-    return {"trials": trials, "failures": failures, "samples": kept,
-            "extra": {"finite_ring": False}}
+            check.samples.append({"map": label,
+                                  "kernel_sample": [format_vector(ring, v) for v in found[:3]]})
+    return {"trials": trials, "extra": {"finite_ring": False}}
 
 
-def _stabilizer_trials(ring: Ring, p: dict, failures: list):
+def _stabilizer_trials(ring: Ring, p: dict, check: _Checker):
     """Per trial, a deterministic context and its witnesses, shared by the
     intersection and conjugation suites (same seed => same witnesses).  A
     witness failing its identity is recorded and ends its trial."""
@@ -325,29 +332,26 @@ def _stabilizer_trials(ring: Ring, p: dict, failures: list):
                  for _ in range(n - 2)]
         ctx = StabilizerContext(ring, n, tuple(w.evaluate() for w in words))
         label = " | ".join(format_word(w) for w in words)
-        try:
-            witnesses = list(itertools.islice(intersection_witnesses(ctx, p["need"]), p["need"]))
-        except IdentityViolation as exc:
-            _fail(failures, label, "verified intersection witnesses", repr(exc))
-            continue
-        yield t, words, label, ctx, witnesses
+        witnesses = check.attempt(
+            lambda: (label, "verified intersection witnesses"),
+            lambda: list(itertools.islice(intersection_witnesses(ctx, p["need"]), p["need"])))
+        if witnesses is not None:
+            yield t, words, label, ctx, witnesses
 
 
-def _suite_intersection(ring: Ring, p: dict) -> dict:
-    failures: list = []
-    kept = []
+def _suite_intersection(ring: Ring, p: dict, check: _Checker) -> dict:
     need = p["need"]
-    for t, words, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
-        if not ring.is_finite and len(witnesses) < need:
-            _fail(failures, label, f"{need} witnesses", str(len(witnesses)))
+    for t, words, label, ctx, witnesses in _stabilizer_trials(ring, p, check):
+        if not ring.is_finite:
+            check.expect(len(witnesses) >= need,
+                         lambda: (label, f"{need} witnesses", str(len(witnesses))))
         functionals = {w.functional for w in witnesses}
-        if len(functionals) != len(witnesses):
-            _fail(failures, label, "pairwise distinct witnesses", str(len(functionals)))
+        check.expect(len(functionals) == len(witnesses),
+                     lambda: (label, "pairwise distinct witnesses", str(len(functionals))))
         if t == 0:
-            kept.append({"conjugators": [format_word(w) for w in words],
-                         "witnesses": [format_matrix(w.matrix) for w in witnesses[:3]]})
-    return {"trials": p["trials"], "failures": failures, "samples": kept,
-            "extra": {"conjugators_per_trial": p["n"] - 2}}
+            check.samples.append({"conjugators": [format_word(w) for w in words],
+                                  "witnesses": [format_matrix(w.matrix) for w in witnesses[:3]]})
+    return {"trials": p["trials"], "extra": {"conjugators_per_trial": p["n"] - 2}}
 
 
 def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
@@ -386,35 +390,27 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
     return Matrix._raw(ring, (top,) + tuple((ring.zero,) + tuple(row) for row in block))
 
 
-def _suite_conjugation(ring: Ring, p: dict) -> dict:
+def _suite_conjugation(ring: Ring, p: dict, check: _Checker) -> dict:
     n = p["n"]
     pool = [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
-    failures: list = []
-    kept = []
-    for t, _, label, ctx, witnesses in _stabilizer_trials(ring, p, failures):
+    for t, _, label, ctx, witnesses in _stabilizer_trials(ring, p, check):
         rng = _rng(p["seed"], "lemma-new", t)
         functionals = [w.functional for w in witnesses[:3]]
         for _ in range(p["conjugators"]):
             q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
-            try:
-                prepared = PreparedConjugator(ctx, q)
-                results = list(conjugate_by_stabilizer(witnesses, prepared))
-            except (ValueError, IdentityViolation) as exc:
-                _fail(failures, f"{label} ; q={format_matrix(q)}",
-                      "closed under conjugation", repr(exc))
-                continue
-            if t == 0 and not kept and results:
-                kept.append({"witness": format_matrix(witnesses[0].matrix),
-                             "conjugator": format_matrix(q),
-                             "conjugate": format_matrix(results[0].matrix)})
-    return {"trials": p["trials"], "failures": failures, "samples": kept}
+            results = check.attempt(
+                lambda: (f"{label} ; q={format_matrix(q)}", "closed under conjugation"),
+                lambda: list(conjugate_by_stabilizer(witnesses, PreparedConjugator(ctx, q))),
+                (ValueError, IdentityViolation))
+            if results and t == 0 and not check.samples:
+                check.samples.append({"witness": format_matrix(witnesses[0].matrix),
+                                      "conjugator": format_matrix(q),
+                                      "conjugate": format_matrix(results[0].matrix)})
+    return {"trials": p["trials"]}
 
 
-def _suite_forms_generators(ring: Ring, p: dict) -> dict:
-    failures: list = []
-    kept = []
+def _suite_forms_generators(ring: Ring, p: dict, check: _Checker) -> dict:
     params = [ring.parse(str(v)) for v in (1, -1, 2)]
-    checks = 0
     for n in p["ns"]:
         size = 2 * n
         symplectic = form_matrix(ring, n, "symplectic")
@@ -423,34 +419,29 @@ def _suite_forms_generators(ring: Ring, p: dict) -> dict:
             for i in range(1, size + 1):
                 si = sigma_index(n, i)
                 long_root = unitary_generator(ring, n, -1, i, si, a)
-                checks += 1
-                if not preserves_form(long_root, symplectic):
-                    _fail(failures, f"n={n} long({i},{ring.format(a)})",
-                          "preserves symplectic form", format_matrix(long_root))
+                check.expect(preserves_form(long_root, symplectic), lambda: (
+                    f"n={n} long({i},{ring.format(a)})", "preserves symplectic form",
+                    format_matrix(long_root)))
                 # the same one-position matrix must fail the orthogonal form
                 # whenever 2a is nonzero
                 if ring.add(a, a) != ring.zero:
-                    checks += 1
-                    if preserves_form(long_root, orthogonal):
-                        _fail(failures, f"n={n} long({i},{ring.format(a)})",
-                              "fails orthogonal form", format_matrix(long_root))
+                    check.expect(not preserves_form(long_root, orthogonal), lambda: (
+                        f"n={n} long({i},{ring.format(a)})", "fails orthogonal form",
+                        format_matrix(long_root)))
                 for j in range(1, size + 1):
                     if j in (i, si):
                         continue
                     for eps, form in ((-1, symplectic), (1, orthogonal)):
                         gen = unitary_generator(ring, n, eps, i, j, a)
-                        checks += 1
-                        if not preserves_form(gen, form):
-                            _fail(failures, f"n={n} eps={eps} rho({i},{j},{ring.format(a)})",
-                                  "preserves form", format_matrix(gen))
+                        check.expect(preserves_form(gen, form), lambda: (
+                            f"n={n} eps={eps} rho({i},{j},{ring.format(a)})", "preserves form",
+                            format_matrix(gen)))
                         # mirror identity: rho_ij(a) == rho_{sj,si}(-a')
                         sj = sigma_index(n, j)
                         mirrored = gen.entries[sj - 1][si - 1]  # equals -a'
                         twin = unitary_generator(ring, n, eps, sj, si, mirrored)
-                        checks += 1
-                        if twin != gen:
-                            _fail(failures, f"n={n} eps={eps} rho({i},{j})",
-                                  "mirror identity", format_matrix(twin))
+                        check.expect(twin == gen, lambda: (f"n={n} eps={eps} rho({i},{j})",
+                                                           "mirror identity", format_matrix(twin)))
         # additivity of parameters along a fixed root
         rng = _rng(p["seed"], "forms-generators", n)
         for _ in range(20):
@@ -462,24 +453,19 @@ def _suite_forms_generators(ring: Ring, p: dict) -> dict:
             eps = rng.choice((-1, 1))
             lhs = unitary_generator(ring, n, eps, i, j, a) @ unitary_generator(ring, n, eps, i, j, b)
             rhs = unitary_generator(ring, n, eps, i, j, ring.add(a, b))
-            checks += 1
-            if lhs != rhs:
-                _fail(failures, f"n={n} eps={eps} rho({i},{j}) additivity",
-                      format_matrix(rhs), format_matrix(lhs))
+            check.expect(lhs == rhs, lambda: (f"n={n} eps={eps} rho({i},{j}) additivity",
+                                              format_matrix(rhs), format_matrix(lhs)))
             ii = rng.randrange(1, n + 1)
             jj = rng.randrange(1, n + 1)
             while jj == ii:
                 jj = rng.randrange(1, n + 1)
             lhs = elementary_matrix(ring, n, ii, jj, a) @ elementary_matrix(ring, n, ii, jj, b)
-            checks += 1
-            if lhs != elementary_matrix(ring, n, ii, jj, ring.add(a, b)):
-                _fail(failures, f"n={n} e({ii},{jj}) additivity", "e(a+b)", format_matrix(lhs))
+            check.expect(lhs == elementary_matrix(ring, n, ii, jj, ring.add(a, b)), lambda: (
+                f"n={n} e({ii},{jj}) additivity", "e(a+b)", format_matrix(lhs)))
     for n in range(1, 9):
         for k in range(1, 2 * n + 1):
-            checks += 1
-            if sigma_index(n, sigma_index(n, k)) != k:
-                _fail(failures, f"sigma involution n={n} k={k}", str(k),
-                      str(sigma_index(n, sigma_index(n, k))))
+            check.expect(sigma_index(n, sigma_index(n, k)) == k, lambda: (
+                f"sigma involution n={n} k={k}", str(k), str(sigma_index(n, sigma_index(n, k)))))
     # determinant-one and inverse identities on random words
     rng = _rng(p["seed"], "forms-generators-words", 0)
     pool = _small_params(ring)
@@ -492,24 +478,19 @@ def _suite_forms_generators(ring: Ring, p: dict) -> dict:
         else:
             word = random_unitary_word(rng, ring, kind, n, length, pool)
         m = word.evaluate()
-        checks += 1
-        if m.det() != ring.one:  # every generator is unipotent
-            _fail(failures, format_word(word), "det == 1", ring.format(m.det()))
-        checks += 1
-        if not (m @ word.inverse().evaluate()).is_identity():
-            _fail(failures, format_word(word), "word * word^-1 == I", format_matrix(m))
+        check.expect(m.det() == ring.one,  # every generator is unipotent
+                     lambda: (format_word(word), "det == 1", ring.format(m.det())))
+        check.expect((m @ word.inverse().evaluate()).is_identity(),
+                     lambda: (format_word(word), "word * word^-1 == I", format_matrix(m)))
     # stabilization embedding respects the symplectic form
     rng = _rng(p["seed"], "forms-generators-embed", 0)
     for _ in range(10):
         word = random_unitary_word(rng, ring, "esp", 2, rng.randint(1, 5), pool)
-        m = word.evaluate()
-        bigger = embed_stabilize(m)
-        checks += 1
-        if not preserves_form(bigger, form_matrix(ring, 3, "symplectic")):
-            _fail(failures, format_word(word), "embedding preserves the form",
-                  format_matrix(bigger))
-    kept.append({"checked": checks})
-    return {"trials": checks, "failures": failures, "samples": kept}
+        bigger = embed_stabilize(word.evaluate())
+        check.expect(preserves_form(bigger, form_matrix(ring, 3, "symplectic")), lambda: (
+            format_word(word), "embedding preserves the form", format_matrix(bigger)))
+    check.samples.append({"checked": check.checks})
+    return {"trials": check.checks}
 
 
 def _isotropic_pool(ctx: StabilizerContext) -> list:
@@ -545,10 +526,8 @@ def _require_kernels(ring: Ring, suite: str):
                                    f"no kernel computation over {ring.descriptor}")
 
 
-def _suite_transvections(ring: Ring, p: dict) -> dict:
+def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
     _require_kernels(ring, "transvections")
-    failures: list = []
-    kept = []
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
     params = _small_params(ring)
     coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
@@ -577,88 +556,75 @@ def _suite_transvections(ring: Ring, p: dict) -> dict:
             v2 = _combine(rng, ring, pool, 2 * n, coeffs)
             g = g_word.evaluate()
             # every transvection checks its own form preservation
-            try:
-                tau = transvection(form, u, v)
-                short = transvection_short(form, v, r)
-                rhs = transvection(form, g.apply(u), g.apply(v))
-                center = transvection(form, u2, v2)
-                center_inv = transvection(form, u2, tuple(ring.neg(c) for c in v2))
-            except IdentityViolation as exc:
-                _fail(failures, label, "form preservation", repr(exc))
+            built = check.attempt(lambda: (label, "form preservation"), lambda: (
+                transvection(form, u, v), transvection_short(form, v, r),
+                transvection(form, g.apply(u), g.apply(v)), transvection(form, u2, v2),
+                transvection(form, u2, tuple(ring.neg(c) for c in v2))))
+            if built is None:
                 continue
-            if kind == "orthogonal" and not short.is_identity():
-                _fail(failures, label, "identity on the orthogonal side", format_matrix(short))
+            tau, short, rhs, center, center_inv = built
+            if kind == "orthogonal":
+                check.expect(short.is_identity(), lambda: (
+                    label, "identity on the orthogonal side", format_matrix(short)))
             moved = [w for w in ctx.constraint_vectors if tau.apply(w) != w or short.apply(w) != w]
-            if moved:
-                _fail(failures, label, "fixes constraint vectors", format_vector(ring, moved[0]))
+            check.expect(not moved, lambda: (
+                label, "fixes constraint vectors", format_vector(ring, moved[0])))
             # conjugation equivariance under a random form-preserving word
             lhs = g @ tau @ g_word.inverse().evaluate()
-            if lhs != rhs:
-                _fail(failures, label, "g tau g^-1 == tau(gu, gv)", format_matrix(lhs))
+            check.expect(lhs == rhs,
+                         lambda: (label, "g tau g^-1 == tau(gu, gv)", format_matrix(lhs)))
             # pairs fixed by a transvection commute with it exactly
-            if center @ tau @ center_inv != tau:
-                _fail(failures, label, "central conjugate equals tau", format_matrix(tau))
+            check.expect(center @ tau @ center_inv == tau, lambda: (
+                label, "central conjugate equals tau", format_matrix(tau)))
             if t == 0:
-                kept.append({"context": label, "u": format_vector(ring, u),
-                             "v": format_vector(ring, v), "tau": format_matrix(tau)})
-    return {"trials": p["trials"], "failures": failures, "samples": kept}
+                check.samples.append({"context": label, "u": format_vector(ring, u),
+                                      "v": format_vector(ring, v), "tau": format_matrix(tau)})
+    return {"trials": p["trials"]}
 
 
-def _suite_block_witnesses(ring: Ring, p: dict) -> dict:
+def _suite_block_witnesses(ring: Ring, p: dict, check: _Checker) -> dict:
     _require_kernels(ring, "t-a-witnesses")
-    failures: list = []
-    kept = []
     need = p["need"]
-    trials = 0
     params = _small_params(ring)
     for kind, n in p["configs"]:
         form = form_matrix(ring, n, kind)
         word_kind = "esp" if kind == "symplectic" else "eo"
         for t in range(p["trials"]):
-            trials += 1
             rng = _rng(p["seed"], f"t-a:{kind}:{n}", t)
             g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, p["word_length"]),
                                          params)
             g = g_word.evaluate()
             label = f"{kind} n={n} g={format_word(g_word)}"
-            try:
-                found = list(itertools.islice(block_unipotent_witnesses(form, g, need), need))
-            except IdentityViolation as exc:
-                _fail(failures, label, "fixes g e1 and preserves the form", repr(exc))
+            found = check.attempt(
+                lambda: (label, "fixes g e1 and preserves the form"),
+                lambda: list(itertools.islice(block_unipotent_witnesses(form, g, need), need)))
+            if found is None:
                 continue
-            if not ring.is_finite and len(found) < need:
-                _fail(failures, label, f"{need} block witnesses", str(len(found)))
+            if not ring.is_finite:
+                check.expect(len(found) >= need,
+                             lambda: (label, f"{need} block witnesses", str(len(found))))
             blocks = {w.block for w in found}
-            if len(blocks) != len(found):
-                _fail(failures, label, "pairwise distinct", str(len(blocks)))
+            check.expect(len(blocks) == len(found),
+                         lambda: (label, "pairwise distinct", str(len(blocks))))
             if t == 0 and found:
-                kept.append({"g": format_word(g_word), "witness": format_matrix(found[0].matrix)})
-    return {"trials": trials, "failures": failures, "samples": kept}
+                check.samples.append({"g": format_word(g_word),
+                                      "witness": format_matrix(found[0].matrix)})
+    return {"trials": p["trials"] * len(p["configs"])}
 
 
-def _suite_abelian(ring: Ring, p: dict) -> dict:
-    failures: list = []
-    kept = []
+def _suite_abelian(ring: Ring, p: dict, check: _Checker) -> dict:
     params = [ring.parse(str(v)) for v in (1, -1, 2)]
-    checks = 0
     for n in p["ns"]:
-        # row group inside the linear group: pairwise commuting
-        gens = [elementary_matrix(ring, n, 1, j, a) for j in range(2, n + 1) for a in params]
-        for g1, g2 in itertools.combinations(gens, 2):
-            checks += 1
-            if g1 @ g2 != g2 @ g1:
-                _fail(failures, f"linear n={n}", "commuting row generators",
-                      format_matrix(g1 @ g2))
         size = 2 * n
         s1 = sigma_index(n, 1)
-        # orthogonal side: the row generators commute
+        # the row generators commute in the linear group and on the orthogonal side
+        linear = [elementary_matrix(ring, n, 1, j, a) for j in range(2, n + 1) for a in params]
         ortho = [unitary_generator(ring, n, 1, 1, i, a)
                  for i in range(2, size + 1) if i != s1 for a in params]
-        for g1, g2 in itertools.combinations(ortho, 2):
-            checks += 1
-            if g1 @ g2 != g2 @ g1:
-                _fail(failures, f"orthogonal n={n}", "commuting row generators",
-                      format_matrix(g1 @ g2))
+        for side, gens in (("linear", linear), ("orthogonal", ortho)):
+            for g1, g2 in itertools.combinations(gens, 2):
+                check.expect(g1 @ g2 == g2 @ g1, lambda: (
+                    f"{side} n={n}", "commuting row generators", format_matrix(g1 @ g2)))
         # symplectic side: two-step nilpotent, not abelian.  Mirror-index
         # pairs commute only up to a central long root with doubled product:
         # rho_1i(a) rho_1{si}(b) == rho_1{si}(b) rho_1i(a) rho_1{s1}(2ab).
@@ -676,20 +642,17 @@ def _suite_abelian(ring: Ring, p: dict) -> dict:
                         ring, n, -1, 1, s1, ring.add(ring.mul(a, b), ring.mul(a, b)))
                     rhs = unitary_generator(ring, n, -1, 1, si, b) @ unitary_generator(
                         ring, n, -1, 1, i, a) @ correction
-                    checks += 1
-                    if lhs != rhs:
-                        _fail(failures, f"symplectic n={n} pair (1,{i}),(1,{si})",
-                              "commutator equals the central long root", format_matrix(lhs))
+                    check.expect(lhs == rhs, lambda: (
+                        f"symplectic n={n} pair (1,{i}),(1,{si})",
+                        "commutator equals the central long root", format_matrix(lhs)))
         # long roots are central among the symplectic row generators
         for a in params:
             central = unitary_generator(ring, n, -1, 1, s1, a)
             others = [unitary_generator(ring, n, -1, 1, i, params[0])
                       for i in range(2, size + 1) if i != s1]
             for g in others:
-                checks += 1
-                if central @ g != g @ central:
-                    _fail(failures, f"symplectic n={n} long root", "central",
-                          format_matrix(central @ g))
+                check.expect(central @ g == g @ central, lambda: (
+                    f"symplectic n={n} long root", "central", format_matrix(central @ g)))
         # non-mirror symplectic pairs commute outright
         for i in range(2, size + 1):
             if i == s1:
@@ -699,14 +662,12 @@ def _suite_abelian(ring: Ring, p: dict) -> dict:
                     continue
                 g1 = unitary_generator(ring, n, -1, 1, i, params[0])
                 g2 = unitary_generator(ring, n, -1, 1, j, params[1])
-                checks += 1
-                if g1 @ g2 != g2 @ g1:
-                    _fail(failures, f"symplectic n={n} pair (1,{i}),(1,{j})",
-                          "commuting", format_matrix(g1 @ g2))
-    kept.append({"checked": checks,
-                 "note": "symplectic row group is two-step nilpotent; its mirror-pair "
-                         "commutators are the central long roots"})
-    return {"trials": checks, "failures": failures, "samples": kept}
+                check.expect(g1 @ g2 == g2 @ g1, lambda: (
+                    f"symplectic n={n} pair (1,{i}),(1,{j})", "commuting", format_matrix(g1 @ g2)))
+    check.samples.append({"checked": check.checks,
+                          "note": "symplectic row group is two-step nilpotent; its mirror-pair "
+                                  "commutators are the central long roots"})
+    return {"trials": check.checks}
 
 
 # Each suite's runner and default parameters; the defaults also fix which
@@ -739,10 +700,11 @@ def _is_half_rank(value) -> bool:
 
 
 def _check_list(suite_id: str, key: str, value: list):
-    """Refuse an empty list (a vacuous pass) and malformed entries."""
+    """Refuse an empty list (a vacuous pass), malformed entries, and a
+    repeated entry (its trials would run twice)."""
     if not value:
         raise ValueError(f"{suite_id} parameter {key} must not be empty")
-    for entry in value:
+    for index, entry in enumerate(value):
         if key == "configs":
             ok = (type(entry) is list and len(entry) == 2
                   and entry[0] in ("symplectic", "orthogonal") and _is_half_rank(entry[1]))
@@ -753,6 +715,8 @@ def _check_list(suite_id: str, key: str, value: list):
         if not ok:
             raise ValueError(f"{suite_id} parameter {key}: each entry must be {want}, "
                              f"got {entry!r}")
+        if entry in value[:index]:
+            raise ValueError(f"{suite_id} parameter {key} repeats the entry {entry!r}")
 
 
 def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessReport:
@@ -777,19 +741,20 @@ def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessR
         if expected is list:
             _check_list(suite_id, key, value)
     resolved.update(params)
+    check = _Checker()
     start = time.perf_counter()
-    outcome = runner(ring, resolved)
+    outcome = runner(ring, resolved, check)
     elapsed = (time.perf_counter() - start) * 1000.0
     recorded = dict(resolved)
     recorded.update(outcome.get("extra", {}))
-    failures = sorted(outcome["failures"], key=lambda f: json.dumps(f, sort_keys=True))
+    failures = sorted(check.failures, key=lambda f: json.dumps(f, sort_keys=True))
     return WitnessReport(
         suite=suite_id,
         ring=ring.descriptor,
         params=recorded,
         trials=outcome["trials"],
         failures=failures,
-        samples=outcome["samples"],
+        samples=check.samples,
         elapsed_ms=round(elapsed, 3),
         verdict="pass" if not failures else "fail",
     )

@@ -101,9 +101,13 @@ def test_verify_rejects_non_positive_parameters(capsys, monkeypatch, argv):
     (("abelian-s", "--param", "ns=[]"), "ns must not be empty"),
     (("transvections", "--param", "ns=[]"), "ns must not be empty"),
     (("t-a-witnesses", "--param", "configs=[]"), "configs must not be empty"),
+    (("transvections", "--param", "ns=[2,2]"), "ns repeats the entry 2"),
+    (("abelian-s", "--param", "ns=[2,3,2]"), "ns repeats the entry 2"),
+    (("t-a-witnesses", "--param", 'configs=[["symplectic", 2], ["symplectic", 2]]'),
+     "configs repeats the entry ['symplectic', 2]"),
 ], ids=["forms-half-rank-1", "transvections-half-rank-1", "t-a-half-rank-1", "t-a-kind",
         "abelian-n1", "abelian-bool", "abelian-str", "abelian-empty", "transvections-empty",
-        "t-a-empty"])
+        "t-a-empty", "transvections-repeat", "abelian-repeat", "t-a-repeat"])
 def test_verify_refuses_bad_list_entries(capsys, monkeypatch, argv, message):
     _refuse_trials(monkeypatch)
     code, out, err = run_cli(capsys, "verify", *argv)

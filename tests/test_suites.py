@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -127,7 +128,16 @@ PINNED_BLOCK_REPORTS = {
     "Z": "a006dc4ed3ead7fe2fd380440863638e092689705e42c5db94a32d025ef03994",
     "Fp[x]/5": "ed10c12b4d8e0bf322cfc85e5d5bd50cc4bef6f9a12b7439fb703836f7f5e087",
 }
+# The same for the suites that had no pin, recorded before the suites ran
+# on one per-run checker.
+PINNED_CHECKER_REPORTS = {
+    ("snf-oracle", "Z"): "f09304ed2d1fcdb255f5c32a2e921e678935d6e60fa09125a355bd6be5e09270",
+    ("abelian-s", "Z"): "2bae4cd34f4e0e98657d9bce300125cfe930369819958d2d3eaac5f7a42498cf",
+    ("abelian-s", "Fp[x]/5"): "7ed5efc707ad3b85c7c707cb66bb5556e74ebd60d3b31aaa5cc247237937c9bf",
+}
 PINNED_PARAMS = {
+    "snf-oracle": {"trials": 10, "seed": 3},
+    "abelian-s": {"ns": [2, 3], "seed": 3},
     "kernel-oracle": {"trials": 20, "box": 3, "seed": 3},
     "lemma-ke": {"n": 4, "trials": 3, "need": 6, "seed": 3},
     "lemma-new": {"n": 4, "trials": 2, "need": 5, "conjugators": 3, "seed": 3},
@@ -161,6 +171,11 @@ def test_emitter_checked_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_EMITTER_REPORTS[suite, ring_text]
 
 
+@pytest.mark.parametrize("suite, ring_text", sorted(PINNED_CHECKER_REPORTS))
+def test_previously_unpinned_reports_match_pinned_digest(suite, ring_text):
+    assert _report_digest(suite, ring_text) == PINNED_CHECKER_REPORTS[suite, ring_text]
+
+
 @pytest.mark.parametrize("ring_text", sorted(PINNED_BLOCK_REPORTS))
 def test_block_witness_reports_match_pinned_digest(ring_text):
     params = dict(PINNED_PARAMS["t-a-witnesses"], configs=[["orthogonal", 4], ["symplectic", 3]])
@@ -168,6 +183,88 @@ def test_block_witness_reports_match_pinned_digest(ring_text):
     assert report.verdict == "pass"
     digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
     assert digest == PINNED_BLOCK_REPORTS[ring_text]
+
+
+class _SkewIntegers(Integers):
+    """Z with a product that adds one when a > b: it is neither
+    commutative nor distributive, and 1 is not its identity."""
+
+    def mul(self, a, b):
+        return a * b + (a > b)
+
+
+def _always(value):
+    return lambda *args: value
+
+
+def _two_solutions(a, count):
+    """A stream that cycles between the zero vector and the all-ones one."""
+    pair = [tuple(a.ring.zero for _ in range(a.cols)), tuple(a.ring.one for _ in range(a.cols))]
+    return itertools.islice(itertools.cycle(pair), count)
+
+
+def _repeating_first(emitter):
+    """An emitter that yields its first witness over and over."""
+    return lambda *args: itertools.repeat(next(emitter(*args)))
+
+
+def _snf_wrong_on_one_row(a):
+    """Smith form with one added to D's first entry when A has one row."""
+    d, u, v = rigidlin.normal_forms.smith_normal_form(a)
+    if a.rows == 1:
+        d = Matrix(a.ring, [[d.entries[0][0] + 1, *d.entries[0][1:]]])
+    return d, u, v
+
+
+# Each case breaks one name in rigidlin.suites (or, with no name, runs over
+# a broken ring): suite, ring, parameters, name, replacement.
+FAILING_CASES = {
+    "forms-never-preserved": ("forms-generators", Z, PINNED_PARAMS["forms-generators"],
+                              "preserves_form", _always(False)),
+    "forms-always-preserved": ("forms-generators", Z, PINNED_PARAMS["forms-generators"],
+                               "preserves_form", _always(True)),
+    "kernel-oracle-span": ("kernel-oracle", Z, PINNED_PARAMS["kernel-oracle"],
+                           "in_row_span", _always(False)),
+    "rigidity-two-solutions": ("rigidity-empirical", Z, PINNED_PARAMS["rigidity-empirical"],
+                               "solution_stream", _two_solutions),
+    "rigidity-two-solutions-finite": ("rigidity-empirical", Modular(5),
+                                      PINNED_PARAMS["rigidity-empirical"],
+                                      "solution_stream", _two_solutions),
+    "lemma-ke-repeated": ("lemma-ke", Z, PINNED_PARAMS["lemma-ke"], "intersection_witnesses",
+                          _repeating_first(rigidlin.witnesses.intersection_witnesses)),
+    "t-a-repeated": ("t-a-witnesses", Z, PINNED_PARAMS["t-a-witnesses"],
+                     "block_unipotent_witnesses",
+                     _repeating_first(rigidlin.witnesses.block_unipotent_witnesses)),
+    "ring-axioms-skew": ("ring-axioms", _SkewIntegers(), PINNED_PARAMS["ring-axioms"],
+                         None, None),
+    "snf-one-row": ("snf-oracle", Z, {"trials": 6, "seed": 1},
+                    "smith_normal_form", _snf_wrong_on_one_row),
+}
+# SHA-256 of canonical_json of each failing case, recorded before the
+# suites ran on one per-run checker.
+PINNED_FAILING_REPORTS = {
+    "forms-always-preserved": "bd174024c08d8217f77c3b8aa819f9dfd677dc8d4ea682dca61d01e941aad5d9",
+    "forms-never-preserved": "eacea5bf933a9ca8ca71feca02af9fa7a7129af610f4f156d71a34db24da2989",
+    "kernel-oracle-span": "156db0376d7bfbc109e06ae254f06583e3dc02795fcd1ce2214f10cc54bc69f4",
+    "lemma-ke-repeated": "ebb819f2b65f8ec3f921db7bcd9e8460c0edab4d8dc14394bc67d16b16fdad71",
+    "rigidity-two-solutions": "4918c7260de76c900ee283ebc6bf6cc49b231d5194f5d360af0a334de03f962d",
+    "rigidity-two-solutions-finite":
+        "2d7d7ec1db581ec664aece024837ec9307b62e3f9c998cf2c9d9e7c0e2feba9f",
+    "ring-axioms-skew": "e5401048fbe8c88d9c42821242f277302a2d52e87d989dfa4aaa87f2a059a113",
+    "snf-one-row": "674cf09f863cdeb48d04fdee6e16256a5ae961789550c132ccfa8508db280a63",
+    "t-a-repeated": "d51fa07b66fb1d3892b0585735f19769077bc0185453b51f54638a083c92e77e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_CASES))
+def test_failing_checks_match_pinned_digest(monkeypatch, case):
+    suite, ring, params, name, broken = FAILING_CASES[case]
+    if name is not None:
+        monkeypatch.setattr(rigidlin.suites, name, broken)
+    report = run_suite(suite, ring, dict(params))
+    assert report.verdict == "fail"
+    digest = hashlib.sha256(report.canonical_json().encode()).hexdigest()
+    assert digest == PINNED_FAILING_REPORTS[case]
 
 
 def _functionals_not_annihilating(kernel, count):
@@ -284,6 +381,23 @@ def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ri
 def test_parameters_must_have_their_default_type(suite, params):
     with pytest.raises(ValueError, match="must be"):
         run_suite(suite, Z, params)
+
+
+@pytest.mark.parametrize("suite, params", [
+    ("transvections", {"ns": [2, 2]}),
+    ("abelian-s", {"ns": [2, 3, 2]}),
+    ("forms-generators", {"ns": [3, 3]}),
+    ("t-a-witnesses", {"configs": [["symplectic", 2], ["symplectic", 2]]}),
+], ids=["transvections", "abelian-s", "forms-generators", "t-a-witnesses"])
+def test_list_parameters_refuse_repeated_entries(suite, params):
+    # a repeated entry would run its trials, and repeat its samples, twice
+    with pytest.raises(ValueError, match="repeats the entry"):
+        run_suite(suite, Z, params)
+
+
+def test_configs_of_one_half_rank_and_both_kinds_are_distinct():
+    params = {"configs": [["symplectic", 4], ["orthogonal", 4]], "trials": 1, "need": 3}
+    assert run_suite("t-a-witnesses", Z, params).trials == 2
 
 
 @pytest.mark.parametrize("suite", ["transvections", "t-a-witnesses"])
