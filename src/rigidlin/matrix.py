@@ -85,19 +85,6 @@ class Matrix:
         columns = tuple(zip(*other.entries))
         return Matrix._raw(self.ring, tuple([dots(row, columns) for row in self.entries]))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        add = self.ring.add
-        return Matrix._raw(
-            self.ring,
-            tuple(tuple(add(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
     def __neg__(self) -> "Matrix":
         neg = self.ring.neg
         return Matrix._raw(self.ring, tuple(tuple(neg(x) for x in row) for row in self.entries))
@@ -283,11 +270,6 @@ def vec_dot(ring: Ring, u: tuple, v: tuple):
 
 def vec_is_zero(ring: Ring, u: tuple) -> bool:
     return all(x == ring.zero for x in u)
-
-
-def outer_product(ring: Ring, col: tuple, row: tuple) -> Matrix:
-    """The rank-one matrix col * row."""
-    return Matrix._raw(ring, tuple(tuple(ring.mul(c, r) for r in row) for c in col))
 
 
 def format_vector(ring: Ring, v: tuple) -> str:

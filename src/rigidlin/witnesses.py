@@ -9,7 +9,8 @@ Three constructions, all emitted through fail-fast verification:
   prepared stabilizer element in one pass: one ``dots`` per column of
   its lower block, one per image;
 * Eichler transvections attached to isotropic pairs in the complement of
-  a finite set of vectors under a split bilinear form;
+  a finite set of vectors under a split bilinear form, built as rank-two
+  row updates of the identity and checked once, M^T * gram * M == gram;
 * upper block-unipotent matrices ``(I, A; 0, I)``, held as the n x n
   block A, with A^T = -eps A, the symmetry class the form admits,
   restricted to those fixing a prescribed image vector.
@@ -31,7 +32,7 @@ from typing import Iterator
 
 from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
-from .matrix import Matrix, outer_product, unit_vector, vec_is_zero, vec_neg
+from .matrix import Matrix, unit_vector, vec_is_zero, vec_neg
 from .normal_forms import KernelModule, combination_stream, kernel_basis
 from .rings import Ring
 
@@ -217,24 +218,42 @@ def _require_isotropic(form: BilinearForm, u: tuple, v: tuple):
             raise ValueError("transvection needs isotropic u and v")
 
 
-def transvection(form: BilinearForm, u, v) -> Matrix:
-    """The map x -> x + eps*u<v, x> - v<u, x> on an isotropic pair."""
+def _identity_minus(form: BilinearForm, terms, what: str) -> Matrix:
+    """I - sum of col * row over the (col, row) terms, one ``axpy`` per term
+    on each identity row whose col entry is nonzero; checked once."""
     ring = form.ring
-    u, v = tuple(u), tuple(v)
-    _require_isotropic(form, u, v)
-    row_v = form.covector(v)  # <v, x> = row_v . x
-    row_u = form.covector(u)
-    eps_u = u if form.epsilon == 1 else vec_neg(ring, u)
-    m = Matrix.identity(ring, form.size) + outer_product(ring, eps_u, row_v) - outer_product(
-        ring, v, row_u
-    )
+    rows = []
+    for i, row in enumerate(Matrix.identity(ring, form.size).entries):
+        for col, covector in terms:
+            if col[i] != ring.zero:
+                row = ring.axpy(row, col[i], covector)
+        rows.append(tuple(row))
+    m = Matrix._raw(ring, tuple(rows))
     if not preserves_form(m, form):
-        raise IdentityViolation("transvection failed form preservation")
+        raise IdentityViolation(f"{what} failed form preservation")
     return m
 
 
+def transvection(form: BilinearForm, u, v) -> Matrix:
+    """The map x -> x + eps*u<v, x> - v<u, x> on an isotropic pair.
+
+    Row i of its matrix is e_i - (-eps*u_i)*v^ - v_i*u^, a rank-two row
+    update with v^ = ``form.covector(v)``.  M^T * gram * M == gram is checked
+    at emission: the ``transvections`` suite's conjugation identities hold
+    for any coefficients on an isotropic pool, so only this check catches
+    a wrong sign in either term.
+    """
+    ring = form.ring
+    u, v = tuple(u), tuple(v)
+    _require_isotropic(form, u, v)
+    neg_eps_u = vec_neg(ring, u) if form.epsilon == 1 else u
+    return _identity_minus(form, ((neg_eps_u, form.covector(v)), (v, form.covector(u))),
+                           "transvection")
+
+
 def transvection_short(form: BilinearForm, v, r) -> Matrix:
-    """The map x -> x - r*v<v, x> on the symplectic side; identity on the
+    """The map x -> x - r*v<v, x> on the symplectic side, row i being
+    e_i - (r*v_i)*v^ and checked as in ``transvection``; identity on the
     orthogonal side."""
     ring = form.ring
     v = tuple(v)
@@ -243,12 +262,8 @@ def transvection_short(form: BilinearForm, v, r) -> Matrix:
         raise ValueError("short transvection needs isotropic v")
     if form.epsilon == 1:
         return Matrix.identity(ring, form.size)
-    row_v = form.covector(v)
     scaled = tuple(ring.mul(r, c) for c in v)
-    m = Matrix.identity(ring, form.size) - outer_product(ring, scaled, row_v)
-    if not preserves_form(m, form):
-        raise IdentityViolation("short transvection failed form preservation")
-    return m
+    return _identity_minus(form, ((scaled, form.covector(v)),), "short transvection")
 
 
 def _symmetry_parameters(form: BilinearForm) -> list[tuple[int, int]]:

@@ -313,6 +313,33 @@ def test_broken_conjugate_is_a_reported_failure(monkeypatch):
     assert report.samples == []
 
 
+def _first_and_last_axis_transvection(calls):
+    """A transvection that is tau(e1, e_2n), whatever pair it is given, on
+    the calls whose index modulo 3 is in calls: it preserves the form but
+    moves the suite's first-block pool.  The suite makes three
+    ``transvection`` calls per trial: tau(u, v), tau(gu, gv) and c."""
+    count = itertools.count()
+    real = rigidlin.suites.transvection
+
+    def broken(form, u, v):
+        if next(count) % 3 in calls:
+            ring, size = form.ring, form.size
+            u, v = unit_vector(ring, size, 0), unit_vector(ring, size, size - 1)
+        return real(form, u, v)
+    return broken
+
+
+@pytest.mark.parametrize("calls, expected", [
+    ((0, 1, 2), {"g tau == tau(gu, gv) g"}),
+    ((2,), {"c tau == tau c"}),
+], ids=["equivariance", "centrality"])
+def test_transvection_failures_name_the_identity_checked(monkeypatch, calls, expected):
+    monkeypatch.setattr(rigidlin.suites, "transvection", _first_and_last_axis_transvection(calls))
+    report = run_suite("transvections", Z, {"ns": [2, 3], "trials": 8, "seed": 1})
+    assert report.verdict == "fail"
+    assert {f["expected"] for f in report.failures} - {"fixes constraint vectors"} == expected
+
+
 def _no_pivots(ring, h, u):
     """An echelon with no pivots: every unit vector faces a zero row, so
     ``kernel_basis`` takes each for a kernel vector, and its own A v == 0
@@ -326,8 +353,24 @@ class _DoubledIdentity(Matrix):
 
     @classmethod
     def identity(cls, ring, n):
-        one = Matrix.identity(ring, n)
-        return one + one
+        rows = Matrix.identity(ring, n).entries
+        return Matrix(ring, [[ring.add(e, e) for e in row] for row in rows])
+
+
+_real_identity_minus = rigidlin.witnesses._identity_minus
+
+
+def _flipped_v_term(form, terms, what):
+    """A transvection's rank-two update with the sign of its v<u, x> term
+    flipped: equivariance and centrality still hold on an isotropic pool,
+    so only the form-preservation check at emission can catch it.  At
+    half-rank 4 the pool has rank at least 2; where u and v are parallel
+    on the symplectic side, the flipped update is I and preserves the
+    form."""
+    if len(terms) == 2:
+        (neg_eps_u, v_row), (v, u_row) = terms
+        terms = ((neg_eps_u, v_row), (tuple(form.ring.neg(c) for c in v), u_row))
+    return _real_identity_minus(form, terms, what)
 
 
 _real_block_from_parameters = rigidlin.witnesses._block_from_parameters
@@ -351,13 +394,15 @@ def _block_with_an_extra_upper_entry(form, params):
      "_echelon", _no_pivots, "kernel membership"),
     ("transvections", Z, {"ns": [2, 3], "trials": 8}, rigidlin.witnesses, "Matrix",
      _DoubledIdentity, "form preservation"),
+    ("transvections", Z, {"ns": [4], "trials": 8}, rigidlin.witnesses, "_identity_minus",
+     _flipped_v_term, "form preservation"),
     ("t-a-witnesses", Z, {"trials": 2, "need": 4}, rigidlin.witnesses, "_block_from_parameters",
      _block_with_an_extra_upper_entry, "fixes g e1 and preserves the form"),
     ("t-a-witnesses", ring_from_text("Fp[x]/5"), {"trials": 2, "need": 4}, rigidlin.witnesses,
      "_block_from_parameters", _block_with_an_extra_upper_entry,
      "fixes g e1 and preserves the form"),
 ], ids=["kernel-oracle", "rigidity-empirical", "rigidity-empirical-finite", "transvections",
-        "t-a-witnesses", "t-a-witnesses-poly"])
+        "transvections-flipped-sign", "t-a-witnesses", "t-a-witnesses-poly"])
 def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ring, params,
                                                           module, name, broken, expected):
     monkeypatch.setattr(module, name, broken)

@@ -35,7 +35,6 @@ from rigidlin import (
     unit_vector,
     unitary_generator,
 )
-from rigidlin.matrix import outer_product
 from rigidlin.normal_forms import combination_stream
 from rigidlin.suites import (
     _random_stabilizer_conjugator,
@@ -245,6 +244,12 @@ def test_conjugate_matches_the_dense_product():
                     assert result.matrix == q_inverse @ w.matrix @ q
 
 
+def _identity_plus_outer(ring, col, row):
+    """I + col * row, entry by entry."""
+    return Matrix(ring, [[ring.add(ring.one if i == j else ring.zero, ring.mul(c, r))
+                          for j, r in enumerate(row)] for i, c in enumerate(col)])
+
+
 def _dense_stabilizer_conjugator(rng, ring, n, functionals):
     """The conjugator as built by dense products, block @ (I + w psi), with
     the same draws in the same order."""
@@ -273,7 +278,7 @@ def _dense_stabilizer_conjugator(rng, ring, n, functionals):
             c = rng.choice(pool)
             if c != ring.zero:
                 w = ring.axpy(w, ring.neg(c), gen)
-        block = block @ (Matrix.identity(ring, dim) + outer_product(ring, tuple(w), psi))
+        block = block @ _identity_plus_outer(ring, w, psi)
     top = (ring.one,) + x_part
     return Matrix._raw(ring, (top,) + tuple((ring.zero,) + row for row in block.entries))
 
@@ -371,6 +376,48 @@ def test_transvection_fixed_by_commuting_conjugator():
     g_inv = transvection(form, u2, tuple(-c for c in v2))
     assert (g @ g_inv).is_identity()
     assert g @ tau @ g_inv == tau
+
+
+def _scalar_pairing(form, x, y):
+    """<x, y> = x^T * gram * y, entry by entry."""
+    ring, gram = form.ring, form.gram.entries
+    acc = ring.zero
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            acc = ring.add(acc, ring.mul(ring.mul(xi, gram[i][j]), yj))
+    return acc
+
+
+@pytest.mark.parametrize("ring", [Z, Modular(6), GaussianIntegers(), PrimeFieldPolynomials(5)],
+                         ids=["Z", "Z/6", "Zi", "Fp[x]/5"])
+def test_transvections_match_the_scalar_reference(ring):
+    # column k of tau(u, v) is e_k + eps*u<v, e_k> - v<u, e_k>, and of the
+    # short one e_k - r*v<v, e_k>, on isotropic pairs moved off the first
+    # block by a random form-preserving word
+    pool = _pool(ring)
+    rng = random.Random(83)
+    nontrivial = 0
+    for kind, word_kind in (("symplectic", "esp"), ("orthogonal", "eo")):
+        for n in (2, 3):
+            form = form_matrix(ring, n, kind)
+            size = 2 * n
+            for _ in range(6):
+                g = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, 3)).evaluate()
+                u, v = (g.apply(tuple(rng.choice(pool) for _ in range(n)) + (ring.zero,) * n)
+                        for _ in range(2))
+                r = rng.choice(pool)
+                tau, short = transvection(form, u, v), transvection_short(form, v, r)
+                for k in range(size):
+                    e_k = unit_vector(ring, size, k)
+                    pu, pv = _scalar_pairing(form, u, e_k), _scalar_pairing(form, v, e_k)
+                    eps_pv = pv if form.epsilon == 1 else ring.neg(pv)
+                    assert tau.column(k) == tuple(
+                        ring.sub(ring.add(e, ring.mul(a, eps_pv)), ring.mul(b, pu))
+                        for e, a, b in zip(e_k, u, v))
+                    assert short.column(k) == (e_k if kind == "orthogonal" else tuple(
+                        ring.sub(e, ring.mul(r, ring.mul(b, pv))) for e, b in zip(e_k, v)))
+                nontrivial += not tau.is_identity()
+    assert nontrivial > 12
 
 
 def _fixes_constraints(ctx, u, v, r):
