@@ -186,7 +186,9 @@ class Matrix:
 
 
 def _elimination_ring(ring: Ring) -> Ring:
-    """The ring elimination runs in: Z for Z/m, else the ring itself."""
+    """The ring elimination runs in: Z for Z/m, else the ring itself.  The
+    one place that decides the Z/m lift; the callers reduce results mod m
+    when the ring returned is not theirs."""
     if isinstance(ring, Modular):
         return Integers()
     if not ring.is_domain:

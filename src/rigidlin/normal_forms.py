@@ -1,11 +1,14 @@
 """Hermite and Smith normal forms, kernel modules and solution streams.
 
-The normal forms run over the Euclidean rings (Z, Zi, Fp[x]).  Over a
-residue ring Z/m they are the integer forms of the lifted matrix reduced
-mod m, with each Hermite pivot and each Smith diagonal entry normalised
-to its gcd with m; kernels over Z/m lift the system augmented with the
-modulus relations.  Row operations go through the ring's ``axpy``
-kernel, one call per row.
+The normal forms run over the Euclidean rings (Z, Zi, Fp[x]).  Every
+entry point asks ``_euclidean_elimination`` for the ring to eliminate
+in, which is ``matrix._elimination_ring`` of the input's ring, and
+refuses a ring whose elimination ring is not Euclidean (Z[x]).  Over a
+residue ring Z/m that ring is Z: the forms are the integer forms of the
+lifted matrix reduced mod m, with each Hermite pivot and each Smith
+diagonal entry normalised to its gcd with m; kernels over Z/m lift the
+system augmented with the modulus relations.  Row operations go through
+the ring's ``axpy`` kernel, one call per row.
 There is one elimination engine, in two passes.  ``_echelon`` brings the
 rows to echelon form, pivoting on the entry of smallest nonzero norm
 (ties broken by lowest row index); kernels and row-span membership read
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IdentityViolation, UnsupportedRingError
-from .matrix import Matrix, vec_is_zero
-from .rings import Integers, Modular, Ring
+from .matrix import Matrix, _elimination_ring, vec_is_zero
+from .rings import Modular, Ring
 
 
 @dataclass(frozen=True)
@@ -155,20 +158,27 @@ def _snf_core(ring: Ring, d: list) -> tuple[list, list, list]:
     return work, u, [list(col) for col in zip(*vt)]
 
 
+def _euclidean_elimination(ring: Ring, what: str) -> Ring:
+    """The Euclidean ring that elimination over ring runs in, which is
+    ``_elimination_ring(ring)``, or UnsupportedRingError naming what has
+    no computation over ring."""
+    work = _elimination_ring(ring)
+    if not work.is_euclidean:
+        raise UnsupportedRingError(f"no {what} over {ring.descriptor}")
+    return work
+
+
 def _normal_form(a: Matrix, name: str, core) -> tuple[Matrix, ...]:
-    """Run core(ring, rows) over the ring of a.  A residue ring Z/m is lifted
-    to Z, each result is reduced mod m, and ``_residue_pivots`` normalises
+    """Run core(work, rows) over the elimination ring of a.  Where that is
+    a lift, each result is reduced mod m and ``_residue_pivots`` normalises
     the first result together with the second, its left transform."""
     ring = a.ring
-    rows = [list(row) for row in a.entries]
-    if isinstance(ring, Modular):
+    work = _euclidean_elimination(ring, name)
+    outs = core(work, [list(row) for row in a.entries])
+    if work is not ring:
         m = ring.modulus
-        outs = [[[x % m for x in row] for row in out] for out in core(Integers(), rows)]
+        outs = [[[x % m for x in row] for row in out] for out in outs]
         _residue_pivots(ring, outs[0], outs[1])
-    elif ring.is_euclidean:
-        outs = core(ring, rows)
-    else:
-        raise UnsupportedRingError(f"no {name} over {ring.descriptor}")
     return tuple(Matrix._raw(ring, tuple(map(tuple, out))) for out in outs)
 
 
@@ -226,12 +236,12 @@ def _residue_pivots(ring: Modular, h_rows: list, u_rows: list):
                 u_rows[i] = ring.axpy(u_rows[i], q, u_rows[r])
 
 
-def _residue_lift(a: Matrix) -> Matrix:
+def _residue_lift(a: Matrix) -> tuple:
     """The rows of a over Z/m as integers, followed by the rows m e_k: their
     span over Z is the preimage of the row span of a over Z/m."""
     m = a.ring.modulus
-    return Matrix._raw(Integers(), a.entries + tuple(
-        tuple(m if k == i else 0 for k in range(a.cols)) for i in range(a.cols)))
+    return a.entries + tuple(
+        tuple(m if k == i else 0 for k in range(a.cols)) for i in range(a.cols))
 
 
 def kernel_basis(a: Matrix) -> KernelModule:
@@ -247,16 +257,12 @@ def kernel_basis(a: Matrix) -> KernelModule:
     Each generator is checked once, A v = 0 over the ring of A.
     """
     ring = a.ring
-    if isinstance(ring, Modular):
-        lifted = _residue_lift(a.transpose())
-    elif ring.is_euclidean:
-        lifted = a.transpose()
-    else:
-        raise UnsupportedRingError(f"no kernel computation over {ring.descriptor}")
-    h = [list(row) for row in lifted.entries]
-    u = _identity_rows(lifted.ring, len(h))
-    rank = len(_echelon(lifted.ring, h, u))
-    if lifted.ring is ring:
+    work = _euclidean_elimination(ring, "kernel computation")
+    t = a.transpose()
+    h = [list(row) for row in (t.entries if work is ring else _residue_lift(t))]
+    u = _identity_rows(work, len(h))
+    rank = len(_echelon(work, h, u))
+    if work is ring:
         rows = map(tuple, u[rank:])
     else:
         rows = (tuple(x % ring.modulus for x in v[: a.cols]) for v in u[rank:])
@@ -350,21 +356,17 @@ def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
     if not rows:
         return vec_is_zero(ring, vec)
     a = Matrix(ring, rows)
-    if isinstance(ring, Modular):
-        a = _residue_lift(a)
-    elif not ring.is_euclidean:
-        raise UnsupportedRingError(f"no Hermite form over {ring.descriptor}")
-    ring = a.ring
-    h = [list(row) for row in a.entries]
+    work = _euclidean_elimination(ring, "Hermite form")
+    h = [list(row) for row in (a.entries if work is ring else _residue_lift(a))]
     # the transform is never read: rows of width zero carry it for free
-    pivots = _echelon(ring, h, [[] for _ in h])
-    z = ring.zero
-    work = list(vec)
+    pivots = _echelon(work, h, [[] for _ in h])
+    z = work.zero
+    rest = list(vec)
     for r, c in pivots:
-        if work[c] == z:
+        if rest[c] == z:
             continue
-        q, rem = ring.divmod(work[c], h[r][c])
+        q, rem = work.divmod(rest[c], h[r][c])
         if rem != z:
             return False
-        work = ring.axpy(work, q, h[r])
-    return all(x == z for x in work)
+        rest = work.axpy(rest, q, h[r])
+    return all(x == z for x in rest)

@@ -4,7 +4,8 @@ An element is a plain canonical Python value and all arithmetic goes
 through the ring object that owns it:
 
 * ``Z``       -- arbitrary-precision integers (``int``)
-* ``Z/m``     -- residues stored as ``int`` in ``[0, m)``
+* ``Z/m``     -- residues stored as ``int`` in ``[0, m)``; linear algebra
+  over them runs over ``Z``, as ``matrix._elimination_ring`` decides
 * ``Fp[x]/p`` -- polynomials over ``Z/p``: low-to-high coefficient tuples
   with no trailing zeros, ``()`` is the zero polynomial
 * ``Z[x]``    -- polynomials over ``Z``, same tuple convention.  Both
@@ -46,6 +47,7 @@ stream pairwise-distinct solutions:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 import sys
@@ -256,8 +258,9 @@ class Integers(Ring):
 
 class Modular(Ring):
     """Residues mod m.  Arithmetic is native; linear algebra over Z/m is
-    done elsewhere by lifting to the integers, so the ring is deliberately
-    not flagged Euclidean (pivoting on zero divisors is never attempted).
+    done elsewhere by lifting to the integers (``matrix._elimination_ring``
+    is the one function that decides it), so the ring is deliberately not
+    flagged Euclidean (pivoting on zero divisors is never attempted).
     """
 
     kind = "modular"
@@ -293,10 +296,9 @@ class Modular(Ring):
         return (-a) % self.modulus
 
     def unit_inverse(self, a):
-        g, x, _ = _xgcd(a, self.modulus)
-        if g != 1:
+        if math.gcd(a, self.modulus) != 1:
             return None
-        return x % self.modulus
+        return pow(a, -1, self.modulus)
 
     def elements(self):
         return iter(range(self.modulus))
@@ -306,21 +308,6 @@ class Modular(Ring):
 
     def format(self, a) -> str:
         return str(a)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) and x*a + y*b = g."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        g, x, y = -g, -x, -y
-    return g, x, y
 
 
 class GaussianIntegers(Ring):

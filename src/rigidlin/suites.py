@@ -18,7 +18,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import IdentityViolation, UnsupportedRingError
 from .groups import (
@@ -40,13 +40,14 @@ from .matrix import (
     vec_is_zero,
 )
 from .normal_forms import (
+    _euclidean_elimination,
     in_row_span,
     kernel_basis,
     principal_kernel_family,
     smith_normal_form,
     solution_stream,
 )
-from .rings import Integers, IntegerPolynomials, Modular, Ring
+from .rings import Integers, IntegerPolynomials, Ring
 from .witnesses import (
     PreparedConjugator,
     StabilizerContext,
@@ -70,16 +71,7 @@ class WitnessReport:
     verdict: str = "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "ring": self.ring,
-            "params": self.params,
-            "trials": self.trials,
-            "failures": self.failures,
-            "samples": self.samples,
-            "elapsed_ms": self.elapsed_ms,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -519,16 +511,9 @@ def _combine(rng: random.Random, ring: Ring, vectors: list, size: int, coeffs: l
     return tuple(out)
 
 
-def _require_kernels(ring: Ring, suite: str):
-    """Refuse, before any trial, a ring on which a suite could reach
-    ``kernel_basis``: whether a trial does depends on its draws."""
-    if not (ring.is_euclidean or isinstance(ring, Modular)):
-        raise UnsupportedRingError(f"{suite} needs kernels: "
-                                   f"no kernel computation over {ring.descriptor}")
-
-
 def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
-    _require_kernels(ring, "transvections")
+    # whether a trial reaches kernel_basis depends on its draws: refuse first
+    _euclidean_elimination(ring, "kernel computation")
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
     params = _small_params(ring)
     coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
@@ -583,7 +568,7 @@ def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
 
 
 def _suite_block_witnesses(ring: Ring, p: dict, check: _Checker) -> dict:
-    _require_kernels(ring, "t-a-witnesses")
+    _euclidean_elimination(ring, "kernel computation")  # as in transvections
     need = p["need"]
     params = _small_params(ring)
     for kind, n in p["configs"]:
@@ -700,7 +685,9 @@ def _is_half_rank(value) -> bool:
 
 
 def _check_list(suite_id: str, key: str, value: list):
-    """Refuse an empty list (a vacuous pass), malformed entries, and a
+    """Refuse an empty list (a vacuous pass), malformed entries, the
+    orthogonal config at half-rank 2 (over an infinite ring its witness
+    count fails on every trial whose g e1 = (x, y) has y != 0), and a
     repeated entry (its trials would run twice)."""
     if not value:
         raise ValueError(f"{suite_id} parameter {key} must not be empty")
@@ -715,6 +702,10 @@ def _check_list(suite_id: str, key: str, value: list):
         if not ok:
             raise ValueError(f"{suite_id} parameter {key}: each entry must be {want}, "
                              f"got {entry!r}")
+        if key == "configs" and entry == ["orthogonal", 2]:
+            raise ValueError(f"{suite_id} parameter {key}: {entry!r} is refused, since an "
+                             "alternating 2x2 block has one parameter and A y = 0 forces A = 0 "
+                             "whenever y != 0; orthogonal configs need half-rank >= 3")
         if entry in value[:index]:
             raise ValueError(f"{suite_id} parameter {key} repeats the entry {entry!r}")
 

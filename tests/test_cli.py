@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 import rigidlin.normal_forms
 import rigidlin.suites
 import rigidlin.witnesses
-from rigidlin import Integers, parse_matrix, in_row_span
-from rigidlin.cli import main
+from rigidlin import Integers, ParseError, parse_matrix, in_row_span
+from rigidlin.cli import _COMMANDS, build_parser, main
 
 Z = Integers()
 
@@ -105,9 +106,12 @@ def test_verify_rejects_non_positive_parameters(capsys, monkeypatch, argv):
     (("abelian-s", "--param", "ns=[2,3,2]"), "ns repeats the entry 2"),
     (("t-a-witnesses", "--param", 'configs=[["symplectic", 2], ["symplectic", 2]]'),
      "configs repeats the entry ['symplectic', 2]"),
+    (("t-a-witnesses", "--param", 'configs=[["orthogonal", 2]]'),
+     "orthogonal configs need half-rank >= 3"),
 ], ids=["forms-half-rank-1", "transvections-half-rank-1", "t-a-half-rank-1", "t-a-kind",
         "abelian-n1", "abelian-bool", "abelian-str", "abelian-empty", "transvections-empty",
-        "t-a-empty", "transvections-repeat", "abelian-repeat", "t-a-repeat"])
+        "t-a-empty", "transvections-repeat", "abelian-repeat", "t-a-repeat",
+        "t-a-orthogonal-half-rank-2"])
 def test_verify_refuses_bad_list_entries(capsys, monkeypatch, argv, message):
     _refuse_trials(monkeypatch)
     code, out, err = run_cli(capsys, "verify", *argv)
@@ -137,6 +141,23 @@ def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, mes
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert message in err and "pass" not in out
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(("verify", "abelian-s", "--param", "ns"), "expected KEY=VALUE", id="param-no-equals"),
+    pytest.param(("verify", "abelian-s", "--param", "=[2]"), "expected KEY=VALUE", id="param-no-key"),
+    pytest.param(("witness", "--group", "esp", "--n", "2", "--conjugators", "rs(3,2,1)|rs(1,2,1)"),
+                 "at most one conjugator word", id="esp-two-words"),
+    pytest.param(("witness", "--group", "eo", "--n", "3", "--conjugators", "rs(1,2,1)",
+                  "--conjugators", "rs(2,1,1)"),
+                 "at most one conjugator word", id="eo-two-words"),
+])
+def test_bad_command_lines_raise_parse_errors(capsys, argv, fragment):
+    args = build_parser().parse_args(list(argv))
+    with pytest.raises(ParseError, match=re.escape(fragment)):
+        _COMMANDS[args.command](args)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_refused(code, out, err, fragment)
 
 
 @pytest.mark.parametrize("argv, key, value", [

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,6 +7,7 @@ from rigidlin import (
     GeneratorWord,
     Integers,
     Matrix,
+    Modular,
     ParseError,
     WordToken,
     elementary_matrix,
@@ -309,3 +311,43 @@ def test_token_validation():
         GeneratorWord(Z, "en", 2, (WordToken("e", 1, 2, 1, 2),))  # bad exponent
     with pytest.raises(ValueError):
         GeneratorWord(Z, "bad", 2, ())
+
+
+SYMPLECTIC_2 = form_matrix(Z, 2, "symplectic")
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: unitary_generator(Z, 2, 0, 1, 2, 1), ValueError,
+                 "epsilon must be +1 or -1", id="generator-epsilon"),
+    pytest.param(lambda: unitary_generator(Z, 2, 1, 0, 2, 1), ValueError,
+                 "indices (0, 2) out of range 1..4", id="generator-index-low"),
+    pytest.param(lambda: unitary_generator(Z, 2, -1, 1, 5, 1), ValueError,
+                 "indices (1, 5) out of range 1..4", id="generator-index-high"),
+    pytest.param(lambda: unitary_generator(Z, 2, -1, 2, 2, 1), ValueError,
+                 "off-diagonal position required", id="generator-diagonal"),
+    pytest.param(lambda: SYMPLECTIC_2.covector((1, 0, 0)), ValueError,
+                 "vector length 3 does not match form rank 4", id="covector-length"),
+    pytest.param(lambda: form_matrix(Z, 0, "symplectic"), ValueError,
+                 "half-rank must be positive", id="form-half-rank"),
+    pytest.param(lambda: form_matrix(Z, 2, "unitary"), ValueError,
+                 "unknown form kind 'unitary'", id="form-kind"),
+    pytest.param(lambda: preserves_form(Matrix.identity(Modular(5), 4), SYMPLECTIC_2),
+                 ValueError, "ring mismatch between matrix and form", id="preserves-ring"),
+    pytest.param(lambda: GeneratorWord(Z, "en", 2, (WordToken("rs", 1, 2, 1),)), ValueError,
+                 "token 'rs' is not a linear-group generator", id="token-not-linear"),
+    pytest.param(lambda: GeneratorWord(Z, "esp", 2, (WordToken("rl", 5, None, 1),)), ValueError,
+                 "bad index 5 for size 4", id="token-long-root-index"),
+    pytest.param(lambda: GeneratorWord(Z, "eo", 2, (WordToken("rs", 1, 5, 1),)), ValueError,
+                 "bad indices (1, 5) for size 4", id="token-short-root-indices"),
+    pytest.param(lambda: GeneratorWord(Z, "esp", 2, (WordToken("e", 1, 2, 1),)), ValueError,
+                 "token 'e' is not a unitary generator", id="token-not-unitary"),
+    pytest.param(lambda: parse_word(Z, "esp", 2, "rl(1,2,3)"), ParseError,
+                 "token 'rl' takes 2 arguments", id="parse-argument-count-rl"),
+    pytest.param(lambda: parse_word(Z, "en", 2, "e(1,2)"), ParseError,
+                 "token 'e' takes 3 arguments", id="parse-argument-count-e"),
+    pytest.param(lambda: parse_word(Z, "en", 2, "e(a,2,1)"), ParseError,
+                 "bad index in token 'e(a,2,1)'", id="parse-index"),
+])
+def test_bad_inputs_are_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

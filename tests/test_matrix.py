@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from rigidlin import (
     ring_from_text,
     unit_vector,
 )
+from rigidlin.matrix import vec_dot
 
 Z = Integers()
 
@@ -250,3 +252,31 @@ def test_matrices_are_immutable_and_hashable():
 def test_non_square_determinant_rejected():
     with pytest.raises(ValueError):
         parse_matrix(Z, "1,2,3;4,5,6").det()
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: Matrix(Z, []), ValueError,
+                 "at least one row and one column", id="no-rows"),
+    pytest.param(lambda: Matrix(Z, [[]]), ValueError,
+                 "at least one row and one column", id="no-columns"),
+    pytest.param(lambda: Matrix(Z, [[1, 2], [3]]), ValueError, "ragged rows", id="ragged"),
+    pytest.param(lambda: Matrix.identity(Z, 0), ValueError,
+                 "size must be positive", id="identity-size"),
+    pytest.param(lambda: Matrix.zeros(Z, 0, 2), ValueError,
+                 "dimensions must be positive", id="zeros-rows"),
+    pytest.param(lambda: Matrix.zeros(Z, 2, 0), ValueError,
+                 "dimensions must be positive", id="zeros-cols"),
+    pytest.param(lambda: Matrix.identity(Z, 2).apply((1, 2, 3)), ValueError,
+                 "vector length mismatch", id="apply-length"),
+    pytest.param(lambda: vec_dot(Z, (1, 2), (1,)), ValueError,
+                 "vector length mismatch", id="vec-dot-length"),
+    pytest.param(lambda: parse_matrix(Z, "1,2").det(), ValueError,
+                 "determinant of a non-square matrix", id="det-non-square"),
+    pytest.param(lambda: parse_matrix(Z, "1;2").det_cofactor(), ValueError,
+                 "determinant of a non-square matrix", id="det-cofactor-non-square"),
+    pytest.param(lambda: parse_matrix(Modular(6), "1,2").inverse(), ValueError,
+                 "inverse of a non-square matrix", id="inverse-non-square"),
+])
+def test_bad_inputs_are_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -380,7 +381,7 @@ def _reference_kernel(a):
     ring = a.ring
     lifted = a.transpose()
     if isinstance(ring, Modular):
-        lifted = rigidlin.normal_forms._residue_lift(lifted)
+        lifted = Matrix(Z, rigidlin.normal_forms._residue_lift(lifted))
     h, u = (list(map(list, m.entries)) for m in (lifted, Matrix.identity(lifted.ring, lifted.rows)))
     _top_down_hnf_core(lifted.ring, h, u)
     rows = [tuple(v) for hrow, v in zip(h, u) if all(x == lifted.ring.zero for x in hrow)]
@@ -570,6 +571,17 @@ def test_in_row_span_refuses_non_euclidean_rings(rows):
     rows = [parse_matrix(zx, text).entries[0] for text in rows]
     with pytest.raises(UnsupportedRingError, match=r"no Hermite form over Z\[x\]"):
         in_row_span(zx, rows, (zx.zero, zx.zero))
+
+
+@pytest.mark.parametrize("call, what", [
+    (hermite_normal_form, "Hermite form"),
+    (smith_normal_form, "Smith form"),
+    (kernel_basis, "kernel computation"),
+], ids=["hnf", "snf", "kernel"])
+def test_normal_forms_name_what_a_non_euclidean_ring_lacks(call, what):
+    a = parse_matrix(IntegerPolynomials(), "x,1;2,x^2")
+    with pytest.raises(UnsupportedRingError, match=re.escape(f"no {what} over Z[x]")):
+        call(a)
 
 
 def _span_by_enumeration(m, rows, cols):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -116,10 +117,11 @@ def test_ring_axioms_sampled(ring):
 def test_is_unit_examples():
     assert Integers().unit_inverse(1) == 1
     assert Integers().unit_inverse(2) is None
-    # oracle: scan the residues 0..8 for 2*k == 1 mod 9
-    scan = next(k for k in range(9) if (2 * k) % 9 == 1)
-    assert scan == 5
-    assert Modular(9).unit_inverse(2) == scan
+    # oracle: scan the residues 0..m-1 for a*k == 1 mod m, None when none is
+    for m in range(2, 61):
+        for a in range(m):
+            scan = next((k for k in range(m) if (a * k) % m == 1), None)
+            assert Modular(m).unit_inverse(a) == scan, (a, m)
 
 
 @pytest.mark.parametrize("ring", ALL_RINGS, ids=ring_id)
@@ -469,3 +471,42 @@ def test_mixed_ring_operand_rejected():
         Integers().check((1, 0))
     with pytest.raises(ValueError):
         IntegerPolynomials().check((1, 0, 0))  # trailing zero is not canonical
+
+
+ZI = GaussianIntegers()
+ZX = IntegerPolynomials()
+F5X = PrimeFieldPolynomials(5)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: ZI.parse("  "), ParseError,
+                 "empty Gaussian integer literal", id="zi-empty"),
+    pytest.param(lambda: ZI.parse("2xi"), ParseError,
+                 "malformed Gaussian integer literal: '2xi'", id="zi-imaginary-digits"),
+    pytest.param(lambda: ZI.parse("i+2i"), ParseError,
+                 "malformed Gaussian integer literal: 'i+2i'", id="zi-two-imaginary"),
+    pytest.param(lambda: ZI.parse("1+2"), ParseError,
+                 "malformed Gaussian integer literal: '1+2'", id="zi-two-real"),
+    pytest.param(lambda: ZI.parse("1++i"), ParseError,
+                 "malformed literal: '1++i'", id="zi-empty-term"),
+    pytest.param(lambda: ZX.parse(" "), ParseError,
+                 "empty polynomial literal", id="zx-empty"),
+    pytest.param(lambda: F5X.parse(""), ParseError,
+                 "empty polynomial literal", id="fpx-empty"),
+    pytest.param(lambda: ZX.exact_div((1,), ()), ZeroDivisionError,
+                 "division by zero", id="zx-exact-div-zero"),
+    pytest.param(lambda: ZX.exact_div((1,), (0, 1)), ArithmeticError,
+                 "not an exact multiple", id="zx-exact-div-degree"),
+    pytest.param(lambda: ZX.exact_div((1, 1), (2,)), ArithmeticError,
+                 "not an exact multiple", id="zx-exact-div-coefficient"),
+    # 1 + x^2 = (1 + x)(x - 1) + 2
+    pytest.param(lambda: ZX.exact_div((1, 0, 1), (1, 1)), ArithmeticError,
+                 "not an exact multiple", id="zx-exact-div-remainder"),
+    pytest.param(lambda: ZI.divmod((1, 0), (0, 0)), ZeroDivisionError,
+                 "division by zero", id="zi-divmod-zero"),
+    pytest.param(lambda: F5X.divmod((1,), ()), ZeroDivisionError,
+                 "division by zero", id="fpx-divmod-zero"),
+])
+def test_bad_inputs_are_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -440,6 +440,19 @@ def test_list_parameters_refuse_repeated_entries(suite, params):
         run_suite(suite, Z, params)
 
 
+@pytest.mark.parametrize("ring_text", ["Z", "Z/5", "Z/6", "Zi", "Fp[x]/5", "Z[x]"])
+def test_configs_refuse_orthogonal_half_rank_two(monkeypatch, ring_text):
+    # an alternating 2x2 block with A y = 0 for y != 0 is zero over a domain,
+    # so the witness count would fail trials that the library gets right
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
+    with pytest.raises(ValueError, match="alternating 2x2 block has one parameter"):
+        run_suite("t-a-witnesses", ring_from_text(ring_text),
+                  {"configs": [["symplectic", 2], ["orthogonal", 2]]})
+
+
 def test_configs_of_one_half_rank_and_both_kinds_are_distinct():
     params = {"configs": [["symplectic", 4], ["orthogonal", 4]], "trials": 1, "need": 3}
     assert run_suite("t-a-witnesses", Z, params).trials == 2

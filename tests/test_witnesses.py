@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import warnings
 
 import pytest
@@ -575,3 +576,28 @@ def test_context_validation():
     sym = form_matrix(Z, 2, "symplectic")
     with pytest.raises(ValueError):
         StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 1, 2, 1),), sym)  # breaks the form
+
+
+ORTHOGONAL_2 = form_matrix(Z, 2, "orthogonal")
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    pytest.param(lambda: StabilizerContext(Z, 4, (), form_matrix(Z, 3, "symplectic")), ValueError,
+                 "form rank does not match the context size", id="context-form-rank"),
+    pytest.param(lambda: StabilizerContext(Z, 3, (Matrix.identity(Modular(5), 3),)), ValueError,
+                 "conjugator ring mismatch", id="context-ring"),
+    pytest.param(lambda: StabilizerContext(Z, 3, (Matrix.identity(Z, 4),)), ValueError,
+                 "conjugator size mismatch", id="context-size"),
+    pytest.param(lambda: stabilizer_check(parse_matrix(Z, "1,0,0;0,1,0")), ValueError,
+                 "stabilizer check needs a square matrix", id="stabilizer-non-square"),
+    pytest.param(lambda: build_shear(Z, 1, ()), ValueError,
+                 "shears need size at least 2", id="shear-size"),
+    # <u, v> = 0 in both cases, and <w, w> = 2 for w = (1, 0, 1, 0) or (0, 1, 0, 1)
+    pytest.param(lambda: transvection(ORTHOGONAL_2, (1, 0, 1, 0), (0, 1, 0, 0)), ValueError,
+                 "transvection needs isotropic u and v", id="transvection-u-not-isotropic"),
+    pytest.param(lambda: transvection(ORTHOGONAL_2, (1, 0, 0, 0), (0, 1, 0, 1)), ValueError,
+                 "transvection needs isotropic u and v", id="transvection-v-not-isotropic"),
+])
+def test_bad_inputs_are_refused(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
