@@ -11,12 +11,14 @@ system augmented with the modulus relations.  Row operations go through
 the ring's ``axpy`` kernel, one call per row.
 There is one elimination engine, in two passes.  ``_echelon`` brings the
 rows to echelon form, pivoting on the entry of smallest nonzero norm
-(ties broken by lowest row index); kernels and row-span membership read
-this echelon alone.  The Hermite form then reduces each pivot row by the
-finished pivot rows below it, bottom-up, which keeps the transforms
-deterministic and their entries near their final size.  The Smith form
-is built from it by alternating Hermite passes on the rows and on the
-columns (Kannan–Bachem).
+(ties broken by lowest row index) and clearing below it with the
+least-remainder quotients of ``ring.quotient``, which over Z leave at
+most half the pivot; kernels and row-span membership read this echelon
+alone.  The Hermite form then reduces each pivot row by the finished
+pivot rows below it, bottom-up, with ``divmod``'s one remainder per
+residue class, which keeps H canonical and the transform's entries near
+their final size.  The Smith form is built from it by alternating
+Hermite passes on the rows and on the columns (Kannan–Bachem).
 
 Kernels are returned as ``KernelModule`` values and expanded into
 pairwise-distinct solution streams by walking coefficient tuples in the
@@ -66,12 +68,14 @@ def _echelon(ring: Ring, h: list, u: list) -> list:
     """Row echelon form in place: brings h to row-echelon form by unimodular
     row operations and applies each of them to the rows of u.  Each pivot is
     the entry of smallest norm left in its column (lowest row index on
-    ties), cleared below by Euclid and scaled to its canonical associate;
-    the entries above the pivots are left as they are.  Returns the pivot
+    ties); the entries below it are divided by it with ``ring.quotient``,
+    whose remainders have the least norm (over Z at most half the pivot's),
+    until they are all zero, and it is scaled to its canonical associate.
+    The entries above the pivots are left as they are.  Returns the pivot
     positions [(row, col)], row k holding the k-th pivot."""
     m = len(h)
     z = ring.zero
-    axpy = ring.axpy
+    axpy, quotient = ring.axpy, ring.quotient
     pivots = []
     for c in range(len(h[0])):
         r = len(pivots)
@@ -91,7 +95,7 @@ def _echelon(ring: Ring, h: list, u: list) -> list:
             for i in range(r + 1, m):
                 if h[i][c] == z:
                     continue
-                q, _ = ring.divmod(h[i][c], h[r][c])
+                q = quotient(h[i][c], h[r][c])
                 if q != z:
                     h[i][c:] = axpy(h[i][c:], q, tail)
                     u[i] = axpy(u[i], q, u[r])

@@ -26,6 +26,13 @@ override ``axpy`` with one fused pass per entry over unreduced ``int``
 coefficients (except for products that ``mul`` takes by Kronecker
 substitution).  ``Z/m`` and ``Zi`` keep the base kernels.
 
+The Euclidean rings divide two ways: ``divmod``, whose remainder is
+canonical (least nonnegative over Z), and ``quotient``, whose remainder
+has the least norm, for elimination.  The base ``quotient`` is the
+``divmod`` quotient, which already has that property over Zi and Fp[x];
+``Integers`` overrides it with the nearest quotient, whose remainder lies
+in (-|b|/2, |b|/2].
+
 Canonical values make equality, hashing and printing unambiguous, which
 the verification suites lean on: two elements are equal exactly when
 their values compare equal.
@@ -128,6 +135,12 @@ class Ring(ABC):
         """Return (q, r) with a == q*b + r and norm(r) < norm(b) or r == 0."""
         raise UnsupportedRingError(f"{self.descriptor} has no division with remainder")
 
+    def quotient(self, a, b):
+        """A quotient q of a by b whose remainder a - q*b has the least
+        norm.  The quotient of ``divmod`` has it over Zi (nearest Gaussian
+        integer) and Fp[x] (the remainder is unique); Z overrides this."""
+        return self.divmod(a, b)[0]
+
     def norm(self, a) -> int:
         raise UnsupportedRingError(f"{self.descriptor} has no Euclidean norm")
 
@@ -228,6 +241,14 @@ class Integers(Ring):
             raise ZeroDivisionError("division by zero")
         r = a % abs(b)  # least nonnegative remainder
         return (a - r) // b, r
+
+    def quotient(self, a, b):
+        """The nearest quotient: its remainder lies in (-|b|/2, |b|/2], so a
+        tie keeps the nonnegative remainder."""
+        q, r = divmod(a, b)  # floor division: r has the sign of b
+        if (2 * r > b) if b > 0 else (2 * r <= b):
+            q += 1
+        return q
 
     def exact_div(self, a, b):
         q, r = divmod(a, b)

@@ -297,8 +297,8 @@ def block_unipotent_witnesses(form: BilinearForm, g: Matrix, count: int) -> Iter
     """
     ring = form.ring
     n = form.n
-    if form.kind == "orthogonal" and n < 4:
-        warnings.warn("orthogonal block witnesses are intended for half-rank >= 4", stacklevel=2)
+    if form.kind == "orthogonal" and n < 3:
+        warnings.warn("orthogonal block witnesses are intended for half-rank >= 3", stacklevel=2)
     if not preserves_form(g, form):
         raise ValueError("g does not preserve the form")
     y = g.column(0)[n:]

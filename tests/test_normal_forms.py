@@ -340,7 +340,9 @@ def test_hnf_row_span_matches_sympy():
 def _top_down_hnf_core(ring, h, u):
     """Reference Hermite engine, top-down: the entries above each pivot are
     reduced as soon as the pivot is found, before the rows below it are
-    finished.  Same pivot rule and row operations as the library's."""
+    finished.  Same pivot rule and row operations as the library's: the
+    entries below a pivot are cleared by ``ring.quotient``, those above it
+    reduced by ``divmod``."""
     m = len(h)
     z = ring.zero
     r = 0
@@ -356,7 +358,7 @@ def _top_down_hnf_core(ring, h, u):
             clean = True
             for i in range(r + 1, m):
                 if h[i][c] != z:
-                    q, _ = ring.divmod(h[i][c], h[r][c])
+                    q = ring.quotient(h[i][c], h[r][c])
                     h[i] = ring.axpy(h[i], q, h[r])
                     u[i] = ring.axpy(u[i], q, u[r])
                     clean = clean and h[i][c] == z
@@ -427,6 +429,49 @@ def test_hermite_engine_matches_the_top_down_reference(monkeypatch, ring_text):
             for vec in (ring.axpy(grid[0], rng.choice(pool), grid[-1]),
                         [rng.choice(pool) for _ in range(cols)]):
                 assert in_row_span(ring, grid, vec) == _reduces_to_zero(ring, hnf[0], vec)
+
+
+def _floor_quotient(self, a, b):
+    return self.divmod(a, b)[0]
+
+
+@pytest.mark.parametrize("ring_text", ["Z", "Z/4", "Z/6", "Z/12", "Z/30"])
+def test_canonical_outputs_do_not_depend_on_the_quotient_rule(monkeypatch, ring_text):
+    # the Euclid sweep's quotient rule changes only the non-unique outputs:
+    # Smith transforms, U facing zero rows of the lift, and kernel bases,
+    # whose modules stay the same
+    ring = ring_from_text(ring_text)
+    rng = random.Random(f"quotient-rule:{ring_text}")
+    pool = ring.take(13) + [ring.zero] * 4
+    shapes = [(3, 3), (4, 4), (5, 5), (6, 6), (3, 6), (6, 3), (4, 7), (7, 4)]
+    moved = 0
+    for (rows, cols), deficient in itertools.product(shapes * 2, (False, True)):
+        grid = [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
+        if deficient:  # the last row a combination of the first two
+            grid[-1] = ring.axpy(grid[0], rng.choice(pool), grid[1])
+        a = Matrix(ring, grid)
+        vecs = [ring.axpy(grid[0], rng.choice(pool), grid[-1]),
+                [rng.choice(pool) for _ in range(cols)]]
+
+        def outputs():
+            det = a.det() if rows == cols else None
+            return (hermite_normal_form(a), smith_normal_form(a), det,
+                    [in_row_span(ring, grid, v) for v in vecs], kernel_basis(a))
+
+        nearest = outputs()
+        with monkeypatch.context() as patch:
+            patch.setattr(Integers, "quotient", _floor_quotient)
+            floor = outputs()
+        (h, u), (d, *_), det, spans, kernel = nearest
+        (floor_h, floor_u), (floor_d, *_), floor_det, floor_spans, floor_kernel = floor
+        assert (h, d, det, spans) == (floor_h, floor_d, floor_det, floor_spans), grid
+        lift = hermite_normal_form(Matrix(Z, [[int(x) for x in row] for row in grid]))[0]
+        if all(any(row) for row in lift.entries):  # A (its lift over Z/m) has full row rank
+            assert u == floor_u, grid
+        for ours, theirs in ((kernel, floor_kernel), (floor_kernel, kernel)):
+            assert all(in_row_span(ring, theirs.basis, v) for v in ours.basis), grid
+        moved += nearest != floor
+    assert moved  # the rule was in force: some transform or kernel basis changed
 
 
 # -- kernels -----------------------------------------------------------------
@@ -632,12 +677,15 @@ def test_gaussian_kernel_stream():
 # 3x5 [1,1,5] -> [1,1,1], 5x3 [1,1,4] -> [1,1,2], 6x6 [...,2,4] -> [...,2,2].
 # The Z/6 Hermite forms are pinned with each leading entry h normalised to
 # gcd(h, 6) and the entries above it reduced modulo that gcd, which changes
-# H on eight of the nine shapes (all but 4x4).
+# H on eight of the nine shapes (all but 4x4).  The Smith transforms over Z
+# and Z/6 and the Z/6 kernels were re-pinned when the echelon's Euclid sweep
+# moved to nearest quotients (``Ring.quotient``); H, U, D, det and the Z
+# kernels kept their digests.
 PINNED_NORMAL_FORMS = {
     ("det", "Z"): "50881ff5488ad9207cceb27d4acfdcadb3194a3c3e3509329e0332f5cc94f282",
     ("hnf", "Z"): "07a42d7ac96e656e86979ed98f06ff4f774c6033471769fa47b1ca8d4cfce7a5",
     ("snf_d", "Z"): "c1955233557bd6ae5e832352eae9526a2589b846c4c30f99c3656d47b8ac4f88",
-    ("snf_uv", "Z"): "1b6ef9e206df31747eb3a8eb5371d4669a69e4b20b16fc77e82836423601fef9",
+    ("snf_uv", "Z"): "5018094846d436354e93aca1e72e6e2806994db656f55500c81841fdd2032985",
     ("kernel", "Z"): "b802af9fb60f15a7bb4898f2b26f0c6b2adf9507dbcb54f2432c42193b3817b3",
     ("det", "Zi"): "5e66c734098968de4f2c749a1eb329912832ea78c10b3ef228c246ec7b168b3d",
     ("hnf", "Zi"): "6fe1bf209e80d2f1bcbe08ff520e2eba4e50c323d496fdeef2391f24be0d5cf1",
@@ -652,8 +700,8 @@ PINNED_NORMAL_FORMS = {
     ("det", "Z/6"): "8e5b141819409c0fb624db803f3168ecd11c794242f993b4d52106b785a58bd4",
     ("hnf", "Z/6"): "25cef8b08f06a8278579dd74a1736813e71082969c83c0b50d3a9236101b9450",
     ("snf_d", "Z/6"): "64db1dce9fd455de3779f3144e4bbefb8e2e618efe977cb99810ce1bb9ee69fd",
-    ("snf_uv", "Z/6"): "f1914525c888a6ad870fd2ffaec351d56345e6a9ba52bdb4f260e70668d1f1af",
-    ("kernel", "Z/6"): "66e8983d6860accebc5f7b79ecc508a9a47fc72d9c341cdf492d097788388276",
+    ("snf_uv", "Z/6"): "8441fba347d89a30b37ee40cf039f1f8e69bc5cde7e6d080b5797634ebe1f129",
+    ("kernel", "Z/6"): "eabda8e248270d25a1f65c1a51b8499fe5c49f653e7ad3adfe7d021c7f3ce911",
 }
 
 

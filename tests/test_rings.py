@@ -172,6 +172,29 @@ def test_integer_divmod_least_nonnegative():
             assert a == q * b + r and 0 <= r < abs(b)
 
 
+def test_integer_quotient_leaves_the_nearest_remainder():
+    ring = Integers()
+    assert ring.quotient(1, 2) == 0 and ring.quotient(3, 2) == 1
+    assert ring.quotient(-1, 2) == -1 and ring.quotient(1, -2) == 0
+    assert ring.quotient(7, 3) == 2 and ring.quotient(8, 3) == 3
+    for a in range(-30, 31):
+        for b in (-8, -7, -4, -3, -2, -1, 1, 2, 3, 4, 7, 8):
+            r = a - ring.quotient(a, b) * b
+            assert -abs(b) < 2 * r <= abs(b), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        ring.quotient(3, 0)
+
+
+@pytest.mark.parametrize("ring", [PrimeFieldPolynomials(5), GaussianIntegers()], ids=ring_id)
+def test_quotient_is_the_divmod_quotient(ring):
+    pool = [a for a in ring.take(60) if a != ring.zero]
+    rng = random.Random(11)
+    for _ in range(300):
+        a = rng.choice(pool + [ring.zero])
+        b = rng.choice(pool)
+        assert ring.quotient(a, b) == ring.divmod(a, b)[0]
+
+
 def test_enumeration_examples():
     assert Integers().take(5) == [0, 1, -1, 2, -2]
     assert Modular(4).take(10) == [0, 1, 2, 3]  # exhausted early

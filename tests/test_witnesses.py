@@ -518,7 +518,7 @@ def test_block_witnesses_orthogonal_small_rank_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         list(itertools.islice(block_unipotent_witnesses(orth, Matrix.identity(Z, 4), 2), 2))
-    assert any("half-rank" in str(w.message) for w in caught)
+    assert any("half-rank >= 3" in str(w.message) for w in caught)
 
 
 @pytest.mark.parametrize("kind", ["symplectic", "orthogonal"])
