@@ -7,8 +7,9 @@ refuses a ring whose elimination ring is not Euclidean (Z[x]).  Over a
 residue ring Z/m that ring is Z: the forms are the integer forms of the
 lifted matrix reduced mod m, with each Hermite pivot and each Smith
 diagonal entry normalised to its gcd with m; kernels over Z/m lift the
-system augmented with the modulus relations.  Row operations go through
-the ring's ``axpy`` kernel, one call per row.
+system augmented with the modulus relations.  Elimination runs on the
+augmented rows [h | u], the transform u carried to the right of h, so
+each row operation is one call of the ring's ``axpy`` kernel on the row.
 There is one elimination engine, in two passes.  ``_echelon`` brings the
 rows to echelon form, pivoting on the entry of smallest nonzero norm
 (ties broken by lowest row index) and clearing below it with the
@@ -53,113 +54,116 @@ class KernelModule:
     basis: tuple[tuple, ...]
 
 
-# -- row operations on (matrix, transform) pairs ----------------------------
+# -- row operations on augmented rows [h | u] --------------------------------
 
-def _row_scale(ring: Ring, rows: list, target: int, u):
-    mul = ring.mul
-    rows[target] = [mul(u, x) for x in rows[target]]
-
-
-def _identity_rows(ring: Ring, n: int) -> list:
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+def _row_scale(ring: Ring, row: list, w) -> list:
+    """The row w*row for a unit w, in one row-kernel call: x - (1 - w)*x = w*x."""
+    return ring.axpy(row, ring.sub(ring.one, w), row)
 
 
-def _echelon(ring: Ring, h: list, u: list) -> list:
-    """Row echelon form in place: brings h to row-echelon form by unimodular
-    row operations and applies each of them to the rows of u.  Each pivot is
-    the entry of smallest norm left in its column (lowest row index on
-    ties); the entries below it are divided by it with ``ring.quotient``,
-    whose remainders have the least norm (over Z at most half the pivot's),
-    until they are all zero, and it is scaled to its canonical associate.
-    The entries above the pivots are left as they are.  Returns the pivot
+def _augment(ring: Ring, rows) -> list:
+    """The rows [a_i | e_i] of [A | I]."""
+    n, one, z = len(rows), ring.one, ring.zero
+    return [list(row) + [one if i == j else z for j in range(n)] for i, row in enumerate(rows)]
+
+
+def _echelon(ring: Ring, rows: list, width: int) -> list:
+    """Row echelon form in place on the first width columns of the rows; a
+    transform block to their right rides along, as each row operation is
+    one ``axpy`` on the row from the pivot column on.  Each pivot is the
+    entry of smallest norm left in its column (lowest row index on ties);
+    the entries below it are divided by it with ``ring.quotient``, whose
+    remainders have the least norm (over Z at most half the pivot's), until
+    they are all zero, and it is scaled to its canonical associate.  The
+    entries above the pivots are left as they are.  Returns the pivot
     positions [(row, col)], row k holding the k-th pivot."""
-    m = len(h)
-    z = ring.zero
-    axpy, quotient = ring.axpy, ring.quotient
+    m = len(rows)
+    z, axpy, quotient = ring.zero, ring.axpy, ring.quotient
     pivots = []
-    for c in range(len(h[0])):
+    for c in range(width):
         r = len(pivots)
         if r >= m:
             break
-        if all(h[i][c] == z for i in range(r, m)):
+        if all(rows[i][c] == z for i in range(r, m)):
             continue
         while True:
-            _, pivot = min(
-                (ring.norm(h[i][c]), i) for i in range(r, m) if h[i][c] != z
-            )
+            _, pivot = min((ring.norm(rows[i][c]), i) for i in range(r, m) if rows[i][c] != z)
             if pivot != r:
-                h[r], h[pivot] = h[pivot], h[r]
-                u[r], u[pivot] = u[pivot], u[r]
+                rows[r], rows[pivot] = rows[pivot], rows[r]
             clean = True
-            tail = h[r][c:]  # the pivot row is zero before column c
+            tail = rows[r][c:]  # the pivot row is zero before column c
             for i in range(r + 1, m):
-                if h[i][c] == z:
+                row = rows[i]
+                if row[c] == z:
                     continue
-                q = quotient(h[i][c], h[r][c])
+                q = quotient(row[c], tail[0])
                 if q != z:
-                    h[i][c:] = axpy(h[i][c:], q, tail)
-                    u[i] = axpy(u[i], q, u[r])
-                if h[i][c] != z:
+                    row[c:] = axpy(row[c:], q, tail)
+                if row[c] != z:
                     clean = False
             if clean:
                 break
-        cu = ring.canonical_unit(h[r][c])
+        cu = ring.canonical_unit(rows[r][c])
         if cu != ring.one:
-            _row_scale(ring, h, r, cu)
-            _row_scale(ring, u, r, cu)
+            rows[r][c:] = _row_scale(ring, rows[r][c:], cu)
         pivots.append((r, c))
     return pivots
 
 
-def _hnf_core(ring: Ring, h: list, u: list) -> tuple[list, list]:
-    """Row Hermite form in place: ``_echelon``, then each pivot row, from
-    the second-to-last up to the first, is reduced left to right by the
-    pivot rows below it, which are already final.  Every row operation is
-    applied to the rows of u as well.  Returns (h, u).
+def _hnf_core(ring: Ring, rows: list, width: int) -> list:
+    """Row Hermite form in place on the first width columns of the rows, a
+    transform block riding along; returns the rows.  ``_echelon``, then each
+    pivot row, from the second-to-last up to the first, is reduced left to
+    right by the pivot rows below it, which are already final, one ``axpy``
+    per row operation.
 
-    The reduction only combines pivot rows, so the rows of u facing zero
-    rows of h are those of the echelon.  As ``divmod`` leaves one
-    remainder per residue class, the unit upper-triangular transform that
-    reduces the echelon is unique, so (h, u) do not depend on the order of
-    the reduction; bottom-up, its multipliers come from reduced entries and
-    the rows of u stay near their final size."""
-    pivots = _echelon(ring, h, u)
-    z = ring.zero
-    axpy = ring.axpy
+    The reduction only combines pivot rows, so the rows facing zero rows of
+    h are those of the echelon.  As ``divmod`` leaves one remainder per
+    residue class, the unit upper-triangular transform that reduces the
+    echelon is unique, whatever the order of the reduction; bottom-up, its
+    multipliers come from reduced entries and U stays near its final size."""
+    pivots = _echelon(ring, rows, width)
+    z, axpy = ring.zero, ring.axpy
     for k in range(len(pivots) - 2, -1, -1):
-        row = h[k]
+        row = rows[k]
         for r, c in pivots[k + 1:]:
             if row[c] != z:
-                q, _ = ring.divmod(row[c], h[r][c])
+                q, _ = ring.divmod(row[c], rows[r][c])
                 if q != z:
-                    row[c:] = axpy(row[c:], q, h[r][c:])
-                    u[k] = axpy(u[k], q, u[r])
-    return h, u
+                    row[c:] = axpy(row[c:], q, rows[r][c:])
+    return rows
 
 
-def _snf_core(ring: Ring, d: list) -> tuple[list, list, list]:
-    """Smith form (d, u, v) with u*a*v == d: row Hermite passes on d and on
-    its transpose alternate until d is diagonal with a divisibility chain."""
-    u, vt = _identity_rows(ring, len(d)), _identity_rows(ring, len(d[0]))
+def _snf_core(ring: Ring, d) -> tuple[list, list]:
+    """Smith form as the rows [d | u] and the rows of v, u*a*v == d: row
+    Hermite passes on [d | u] and on [d^T | v^T] alternate until d is
+    diagonal with a divisibility chain."""
     z, minus_one = ring.zero, ring.neg(ring.one)
-    work, transform, other = d, u, vt
+    width = len(d[0])
+    rows, other, flips = _augment(ring, d), _augment(ring, [()] * width), 0  # [d | u], v^T
     while True:
-        _hnf_core(ring, work, transform)
-        if all(x == z for i, row in enumerate(work) for j, x in enumerate(row) if i != j):
-            diag = [work[k][k] for k in range(min(len(work), len(work[0])))]
+        _hnf_core(ring, rows, width)
+        if all(x == z for i, row in enumerate(rows) for j, x in enumerate(row[:width]) if i != j):
+            diag = [rows[k][k] for k in range(min(len(rows), width))]
             offender = next(((i, j) for i, j in itertools.combinations(range(len(diag)), 2)
                              if diag[i] != z and ring.divmod(diag[j], diag[i])[1] != z), None)
             if offender is None:
                 break
             # row i += row j; the next pass, on the transpose, takes their gcd
             i, j = offender
-            work[i] = ring.axpy(work[i], minus_one, work[j])
-            transform[i] = ring.axpy(transform[i], minus_one, transform[j])
-        work = [list(col) for col in zip(*work)]
-        transform, other = other, transform
-    if transform is vt:
-        work = [list(col) for col in zip(*work)]
-    return work, u, [list(col) for col in zip(*vt)]
+            rows[i] = ring.axpy(rows[i], minus_one, rows[j])
+        rows, other, width = _flip(rows, other, width)
+        flips += 1
+    if flips % 2:  # the rows hold [d^T | v^T]
+        rows, other, width = _flip(rows, other, width)
+    return rows, [list(col) for col in zip(*other)]
+
+
+def _flip(rows: list, other: list, width: int) -> tuple[list, list, int]:
+    """From the rows [d | s] and the rows of t: the rows [d^T | t], the
+    rows of s and the width of d^T."""
+    flipped = [[row[k] for row in rows] + t for k, t in enumerate(other)]
+    return flipped, [row[width:] for row in rows], len(rows)
 
 
 def _euclidean_elimination(ring: Ring, what: str) -> Ring:
@@ -173,16 +177,17 @@ def _euclidean_elimination(ring: Ring, what: str) -> Ring:
 
 
 def _normal_form(a: Matrix, name: str, core) -> tuple[Matrix, ...]:
-    """Run core(work, rows) over the elimination ring of a.  Where that is
-    a lift, each result is reduced mod m and ``_residue_pivots`` normalises
-    the first result together with the second, its left transform."""
+    """Run core(work, rows) over the elimination ring of a: it returns the
+    rows [form | left transform], then any further results.  Where that is
+    a lift, each is reduced mod m and ``_residue_pivots`` normalises the rows."""
     ring = a.ring
     work = _euclidean_elimination(ring, name)
-    outs = core(work, [list(row) for row in a.entries])
+    rows, *rest = core(work, a.entries)
     if work is not ring:
         m = ring.modulus
-        outs = [[[x % m for x in row] for row in out] for out in outs]
-        _residue_pivots(ring, outs[0], outs[1])
+        rows, *rest = ([[x % m for x in row] for row in out] for out in (rows, *rest))
+        _residue_pivots(ring, rows, a.cols)
+    outs = [row[:a.cols] for row in rows], [row[a.cols:] for row in rows], *rest
     return tuple(Matrix._raw(ring, tuple(map(tuple, out))) for out in outs)
 
 
@@ -199,7 +204,7 @@ def hermite_normal_form(a: Matrix) -> tuple[Matrix, Matrix]:
     pivot is a multiple of m loses that pivot.
     """
     return _normal_form(a, "Hermite form",
-                        lambda ring, rows: _hnf_core(ring, rows, _identity_rows(ring, len(rows))))
+                        lambda ring, rows: [_hnf_core(ring, _augment(ring, rows), a.cols)])
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -213,31 +218,28 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return _normal_form(a, "Smith form", _snf_core)
 
 
-def _residue_pivots(ring: Modular, h_rows: list, u_rows: list):
-    """Normalise in place the leading entries of the rows of h over Z/m,
-    applying each row operation to u as well, so U A = H (or U A V = D)
-    still holds.
+def _residue_pivots(ring: Modular, rows: list, width: int):
+    """Normalise in place the leading entries of the augmented rows [h | u]
+    over Z/m, pivoting on the first width columns; each row operation is
+    one ``axpy`` on the whole row, so U A = H (or U A V = D) still holds.
 
     The leading entry of row r is w gcd(h, m) for a unit w: row r is
     scaled by w^-1, and the entries above the new pivot g are reduced
     modulo g.  On a Smith diagonal this sets each D_ii to gcd(d_i, m).
     """
     m = ring.modulus
-    for r, row in enumerate(h_rows):
-        c = next((j for j, x in enumerate(row) if x), None)
+    for r, row in enumerate(rows):
+        c = next((j for j in range(width) if row[j]), None)
         if c is None:
             continue
         g = math.gcd(row[c], m)
         step = m // g
         w = next(w for w in range(row[c] // g % step, m, step) if math.gcd(w, m) == 1)
-        w_inv = pow(w, -1, m)
-        _row_scale(ring, h_rows, r, w_inv)
-        _row_scale(ring, u_rows, r, w_inv)
+        rows[r] = _row_scale(ring, row, pow(w, -1, m))
         for i in range(r):
-            q = h_rows[i][c] // g
+            q = rows[i][c] // g
             if q:
-                h_rows[i] = ring.axpy(h_rows[i], q, h_rows[r])
-                u_rows[i] = ring.axpy(u_rows[i], q, u_rows[r])
+                rows[i] = ring.axpy(rows[i], q, rows[r])
 
 
 def _residue_lift(a: Matrix) -> tuple:
@@ -251,26 +253,25 @@ def _residue_lift(a: Matrix) -> tuple:
 def kernel_basis(a: Matrix) -> KernelModule:
     """Generators of the right kernel {x : A x = 0}.
 
-    The rows of the echelon transform of the transpose that face its zero
-    rows, those at index rank and beyond, generate the kernel; no Hermite
-    reduction is made, since it never touches them.  Euclidean rings:
-    those rows are a basis (complete, not just finite index).  Residue
-    rings Z/m: the system is lifted to [A | m I] over the integers, and the
-    rows are cut to their first A.cols entries and reduced mod m, per the
-    augmented-congruence construction; zero and repeated ones are dropped.
-    Each generator is checked once, A v = 0 over the ring of A.
+    One echelon pass (no Hermite reduction) runs on the rows [A^T | I],
+    pivoting on the first A.rows columns; the blocks row[A.rows:] of the
+    rows at index rank and beyond face zero rows and generate the kernel,
+    a basis over the Euclidean rings (complete, not just finite index).
+    Over Z/m the rows are [lift | I], the lift of the system to [A | m I]
+    over the integers, and each block is cut to its first A.cols entries
+    and reduced mod m, per the augmented-congruence construction; zero and
+    repeated ones are dropped.  Each generator is checked once, A v = 0
+    over the ring of A.
     """
     ring = a.ring
     work = _euclidean_elimination(ring, "kernel computation")
     t = a.transpose()
-    h = [list(row) for row in (t.entries if work is ring else _residue_lift(t))]
-    u = _identity_rows(work, len(h))
-    rank = len(_echelon(work, h, u))
-    if work is ring:
-        rows = map(tuple, u[rank:])
-    else:
-        rows = (tuple(x % ring.modulus for x in v[: a.cols]) for v in u[rank:])
-    basis = tuple(v for v in dict.fromkeys(rows) if not vec_is_zero(ring, v))
+    rows = _augment(work, t.entries if work is ring else _residue_lift(t))
+    rank = len(_echelon(work, rows, a.rows))
+    gens = (tuple(row[a.rows:]) for row in rows[rank:])
+    if work is not ring:
+        gens = (tuple(x % ring.modulus for x in v[: a.cols]) for v in gens)
+    basis = tuple(v for v in dict.fromkeys(gens) if not vec_is_zero(ring, v))
     for vec in basis:
         if not vec_is_zero(ring, a.apply(vec)):
             raise IdentityViolation("kernel basis vector failed A v = 0")
@@ -351,9 +352,9 @@ def principal_kernel_family(ring: Ring, a, b, count: int) -> Iterator[tuple]:
 
 def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
     """Whether vec is a ring-linear combination of the given row vectors,
-    decided by reducing vec by an echelon form of the rows (any echelon
-    basis decides membership); over Z/m this is decided over Z, on
-    ``_residue_lift`` of the rows."""
+    decided by reducing vec by an echelon form of the rows, with no
+    transform block (any echelon basis decides membership); over Z/m this
+    is decided over Z, on ``_residue_lift`` of the rows."""
     rows = [tuple(r) for r in rows]
     if any(len(r) != len(vec) for r in rows):
         raise ValueError(f"vector length {len(vec)} does not match the rows")
@@ -362,8 +363,7 @@ def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
     a = Matrix(ring, rows)
     work = _euclidean_elimination(ring, "Hermite form")
     h = [list(row) for row in (a.entries if work is ring else _residue_lift(a))]
-    # the transform is never read: rows of width zero carry it for free
-    pivots = _echelon(work, h, [[] for _ in h])
+    pivots = _echelon(work, h, len(vec))
     z = work.zero
     rest = list(vec)
     for r, c in pivots:

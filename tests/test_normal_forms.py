@@ -337,12 +337,15 @@ def test_hnf_row_span_matches_sympy():
 
 # -- the top-down reference -------------------------------------------------
 
-def _top_down_hnf_core(ring, h, u):
+def _top_down_hnf_core(ring, rows, width):
     """Reference Hermite engine, top-down: the entries above each pivot are
     reduced as soon as the pivot is found, before the rows below it are
     finished.  Same pivot rule and row operations as the library's: the
     entries below a pivot are cleared by ``ring.quotient``, those above it
-    reduced by ``divmod``."""
+    reduced by ``divmod``.  It takes the library's augmented rows [h | u],
+    pivoting on the first width columns, works on h and u apart and joins
+    them again in place."""
+    h, u = [row[:width] for row in rows], [row[width:] for row in rows]
     m = len(h)
     z = ring.zero
     r = 0
@@ -373,7 +376,8 @@ def _top_down_hnf_core(ring, h, u):
                 h[i] = ring.axpy(h[i], q, h[r])
                 u[i] = ring.axpy(u[i], q, u[r])
         r += 1
-    return h, u
+    rows[:] = [hrow + urow for hrow, urow in zip(h, u)]
+    return rows
 
 
 def _reference_kernel(a):
@@ -384,9 +388,11 @@ def _reference_kernel(a):
     lifted = a.transpose()
     if isinstance(ring, Modular):
         lifted = Matrix(Z, rigidlin.normal_forms._residue_lift(lifted))
-    h, u = (list(map(list, m.entries)) for m in (lifted, Matrix.identity(lifted.ring, lifted.rows)))
-    _top_down_hnf_core(lifted.ring, h, u)
-    rows = [tuple(v) for hrow, v in zip(h, u) if all(x == lifted.ring.zero for x in hrow)]
+    identity = Matrix.identity(lifted.ring, lifted.rows)
+    augmented = [list(row + e) for row, e in zip(lifted.entries, identity.entries)]
+    _top_down_hnf_core(lifted.ring, augmented, lifted.cols)
+    rows = [tuple(row[lifted.cols:]) for row in augmented
+            if all(x == lifted.ring.zero for x in row[:lifted.cols])]
     if isinstance(ring, Modular):
         rows = [tuple(x % ring.modulus for x in v[: a.cols]) for v in rows]
     return tuple(v for v in dict.fromkeys(rows) if any(x != ring.zero for x in v))
@@ -429,6 +435,49 @@ def test_hermite_engine_matches_the_top_down_reference(monkeypatch, ring_text):
             for vec in (ring.axpy(grid[0], rng.choice(pool), grid[-1]),
                         [rng.choice(pool) for _ in range(cols)]):
                 assert in_row_span(ring, grid, vec) == _reduces_to_zero(ring, hnf[0], vec)
+
+
+@pytest.mark.parametrize("ring_text, units", [
+    ("Z", ["1", "-1"]),
+    ("Z/6", ["1", "5"]),
+    ("Zi", ["1", "-1", "i", "-i"]),
+    ("Fp[x]/5", ["1", "2", "3", "4"]),
+])
+def test_row_scale_is_the_entrywise_unit_product(ring_text, units):
+    ring = ring_from_text(ring_text)
+    row = ring.take(12) + [ring.zero]
+    for w in map(ring.parse, units):
+        assert ring.is_unit(w)
+        assert rigidlin.normal_forms._row_scale(ring, row, w) == [ring.mul(w, x) for x in row], w
+
+
+def test_each_row_operation_is_one_axpy_on_the_augmented_row(monkeypatch):
+    # the transform rides in the same row as the matrix: no row operation
+    # makes a call of its own on the transform, and no pivot is scaled by mul
+    rng = random.Random("augmented-rows")
+    square = Matrix(Z, [[rng.randint(-9, 9) for _ in range(8)] for _ in range(8)])
+    wide = Matrix(Z, [[rng.randint(-9, 9) for _ in range(9)] for _ in range(6)])
+    axpy_rows, muls = [], []
+    axpy, mul = Integers.axpy, Integers.mul
+
+    def counted_axpy(self, xs, q, ys):
+        axpy_rows.append(len(xs))
+        return axpy(self, xs, q, ys)
+
+    def counted_mul(self, a, b):
+        muls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Integers, "axpy", counted_axpy)
+    monkeypatch.setattr(Integers, "mul", counted_mul)
+    for call, transform in ((lambda: hermite_normal_form(square), 8),
+                            (lambda: smith_normal_form(square), 8),
+                            (lambda: kernel_basis(wide), 9)):  # [A^T | I], I of size 9
+        axpy_rows.clear()
+        call()
+        # each call covers the transform block and at least one matrix column
+        assert axpy_rows and min(axpy_rows) > transform, axpy_rows
+        assert muls == []
 
 
 def _floor_quotient(self, a, b):

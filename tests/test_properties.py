@@ -1,0 +1,101 @@
+"""Property tests of the Hermite, Smith and kernel contracts over Z and
+Fp[x]/5, on matrices of up to 5 x 6 with small entries.  The examples are
+derandomized and their number is fixed, so every run checks the same
+matrices; a failure is shrunk and prints the matrix it drew."""
+
+import pytest
+
+from rigidlin import (
+    Integers,
+    Matrix,
+    PrimeFieldPolynomials,
+    hermite_normal_form,
+    kernel_basis,
+    smith_normal_form,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+Z = Integers()
+F5 = PrimeFieldPolynomials(5)
+
+
+def _polynomial(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs)
+
+
+ENTRIES = {
+    "Z": (Z, st.integers(-9, 9)),
+    "Fp[x]/5": (F5, st.lists(st.integers(0, 4), max_size=3).map(_polynomial)),  # degree <= 2
+}
+
+RINGS = pytest.mark.parametrize("ring_text", sorted(ENTRIES))
+
+CONTRACT = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+def _draw_matrix(data, ring_text):
+    ring, entries = ENTRIES[ring_text]
+    rows = data.draw(st.integers(1, 5), label="rows")
+    cols = data.draw(st.integers(1, 6), label="cols")
+    row = st.lists(entries, min_size=cols, max_size=cols)
+    return Matrix(ring, data.draw(st.lists(row, min_size=rows, max_size=rows), label="A"))
+
+
+def _leading(ring, row):
+    return next((j for j, x in enumerate(row) if x != ring.zero), None)
+
+
+@RINGS
+@CONTRACT
+@given(data=st.data())
+def test_hnf_contract(ring_text, data):
+    a = _draw_matrix(data, ring_text)
+    ring = a.ring
+    h, u = hermite_normal_form(a)
+    assert u @ a == h
+    assert ring.is_unit(u.det())
+    leads = [_leading(ring, h.row(i)) for i in range(h.rows)]
+    pivots = [(i, c) for i, c in enumerate(leads) if c is not None]
+    assert [i for i, _ in pivots] == list(range(len(pivots)))  # zero rows last
+    assert all(c < d for (_, c), (_, d) in zip(pivots, pivots[1:]))  # echelon
+    for r, c in pivots:
+        pivot = h.entries[r][c]
+        assert ring.canonical_unit(pivot) == ring.one
+        for i in range(r):  # reduced: divmod by the pivot leaves the entry as it is
+            assert ring.divmod(h.entries[i][c], pivot)[0] == ring.zero
+
+
+@RINGS
+@CONTRACT
+@given(data=st.data())
+def test_snf_contract(ring_text, data):
+    a = _draw_matrix(data, ring_text)
+    ring = a.ring
+    d, u, v = smith_normal_form(a)
+    assert u @ a @ v == d
+    assert ring.is_unit(u.det()) and ring.is_unit(v.det())
+    z = ring.zero
+    assert all(x == z for i, row in enumerate(d.entries) for j, x in enumerate(row) if i != j)
+    diag = [d.entries[k][k] for k in range(min(d.rows, d.cols))]
+    for x in diag:
+        assert ring.canonical_unit(x) == ring.one
+    for x, y in zip(diag, diag[1:]):  # x divides y; only zero follows zero
+        assert y == z if x == z else ring.divmod(y, x)[1] == z
+
+
+@RINGS
+@CONTRACT
+@given(data=st.data())
+def test_kernel_contract(ring_text, data):
+    a = _draw_matrix(data, ring_text)
+    ring = a.ring
+    basis = kernel_basis(a).basis
+    for vec in basis:
+        assert all(x == ring.zero for x in a.apply(vec))
+    h, _ = hermite_normal_form(a)
+    rank = sum(_leading(ring, h.row(i)) is not None for i in range(h.rows))
+    assert rank + len(basis) == a.cols
