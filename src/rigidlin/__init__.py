@@ -34,7 +34,6 @@ from .normal_forms import (
     hermite_normal_form,
     in_row_span,
     kernel_basis,
-    principal_kernel_family,
     smith_normal_form,
     solution_stream,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "parse_matrix",
     "parse_word",
     "preserves_form",
-    "principal_kernel_family",
     "ring_from_text",
     "run_suite",
     "sigma_index",

@@ -169,9 +169,7 @@ class Matrix:
         ring = self.ring
         work = _elimination_ring(ring)
         n = self.rows
-        z, o = work.zero, work.one
-        m = [list(row) + [o if i == j else z for j in range(n)]
-             for i, row in enumerate(self.entries)]
+        m = _augment(work, self.entries)
         d, det = _bareiss(work, m, gauss_jordan=True)
         if work is not ring:
             d, det = d % ring.modulus, det % ring.modulus
@@ -183,6 +181,12 @@ class Matrix:
         if not (inv @ self).is_identity():
             raise ArithmeticError("Gauss-Jordan inverse failed its recheck")
         return inv
+
+
+def _augment(ring: Ring, rows) -> list:
+    """The rows [a_i | e_i] of [A | I]."""
+    n, one, z = len(rows), ring.one, ring.zero
+    return [list(row) + [one if i == j else z for j in range(n)] for i, row in enumerate(rows)]
 
 
 def _elimination_ring(ring: Ring) -> Ring:
@@ -268,6 +272,12 @@ def vec_dot(ring: Ring, u: tuple, v: tuple):
     if len(u) != len(v):
         raise ValueError("vector length mismatch")
     return ring.dots(u, (v,))[0]
+
+
+def vec_combination(ring: Ring, coeffs, vectors, width: int) -> tuple:
+    """The sum of c_i v_i over length-width vectors, as one ``dots`` of the
+    coefficients against the coordinates."""
+    return ring.dots(coeffs, zip(*vectors)) if vectors else (ring.zero,) * width
 
 
 def vec_is_zero(ring: Ring, u: tuple) -> bool:

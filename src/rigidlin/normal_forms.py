@@ -1,25 +1,28 @@
 """Hermite and Smith normal forms, kernel modules and solution streams.
 
 The normal forms run over the Euclidean rings (Z, Zi, Fp[x]).  Every
-entry point asks ``_euclidean_elimination`` for the ring to eliminate
-in, which is ``matrix._elimination_ring`` of the input's ring, and
-refuses a ring whose elimination ring is not Euclidean (Z[x]).  Over a
-residue ring Z/m that ring is Z: the forms are the integer forms of the
-lifted matrix reduced mod m, with each Hermite pivot and each Smith
-diagonal entry normalised to its gcd with m; kernels over Z/m lift the
-system augmented with the modulus relations.  Elimination runs on the
-augmented rows [h | u], the transform u carried to the right of h, so
-each row operation is one call of the ring's ``axpy`` kernel on the row.
-There is one elimination engine, in two passes.  ``_echelon`` brings the
-rows to echelon form, pivoting on the entry of smallest nonzero norm
-(ties broken by lowest row index) and clearing below it with the
-least-remainder quotients of ``ring.quotient``, which over Z leave at
-most half the pivot; kernels and row-span membership read this echelon
-alone.  The Hermite form then reduces each pivot row by the finished
-pivot rows below it, bottom-up, with ``divmod``'s one remainder per
-residue class, which keeps H canonical and the transform's entries near
-their final size.  The Smith form is built from it by alternating
-Hermite passes on the rows and on the columns (Kannan–Bachem).
+entry point eliminates in ``matrix._elimination_ring`` of the input's
+ring.  The Hermite and Smith forms and row-span membership ask
+``_euclidean_elimination`` for it, which refuses a ring whose
+elimination ring is not Euclidean (Z[x]).  ``kernel_basis`` refuses no
+supported ring: over Z[x] its generators are signed maximal minors.
+Over a residue ring Z/m the elimination ring is Z: the forms are the
+integer forms of the lifted matrix reduced mod m, with each Hermite
+pivot and each Smith diagonal entry normalised to its gcd with m;
+kernels over Z/m lift the system augmented with the modulus relations.
+Elimination runs on the augmented rows [h | u], the transform u carried
+to the right of h, so each row operation is one call of the ring's
+``axpy`` kernel on the row.  There is one elimination engine, in two
+passes.  ``_echelon`` brings the rows to echelon form, pivoting on the
+entry of smallest nonzero norm (ties broken by lowest row index) and
+clearing below it with the least-remainder quotients of
+``ring.quotient``, which over Z leave at most half the pivot; kernels
+and row-span membership read this echelon alone.  The Hermite form then
+reduces each pivot row by the finished pivot rows below it, bottom-up,
+with ``divmod``'s one remainder per residue class, which keeps H
+canonical and the transform's entries near their final size.  The Smith
+form is built from it by alternating Hermite passes on the rows and on
+the columns (Kannan–Bachem).
 
 Kernels are returned as ``KernelModule`` values and expanded into
 pairwise-distinct solution streams by walking coefficient tuples in the
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IdentityViolation, UnsupportedRingError
-from .matrix import Matrix, _elimination_ring, vec_is_zero
+from .matrix import Matrix, _augment, _elimination_ring, vec_is_zero
 from .rings import Modular, Ring
 
 
@@ -47,6 +50,8 @@ class KernelModule:
 
     Over a domain the generators are a basis (linearly independent over
     the fraction field); over a residue ring they are a generating set.
+    Over the Euclidean rings and Z/m they span the whole kernel; over
+    Z[x] they span a full-rank submodule of it that may be proper.
     """
 
     ring: Ring
@@ -59,12 +64,6 @@ class KernelModule:
 def _row_scale(ring: Ring, row: list, w) -> list:
     """The row w*row for a unit w, in one row-kernel call: x - (1 - w)*x = w*x."""
     return ring.axpy(row, ring.sub(ring.one, w), row)
-
-
-def _augment(ring: Ring, rows) -> list:
-    """The rows [a_i | e_i] of [A | I]."""
-    n, one, z = len(rows), ring.one, ring.zero
-    return [list(row) + [one if i == j else z for j in range(n)] for i, row in enumerate(rows)]
 
 
 def _echelon(ring: Ring, rows: list, width: int) -> list:
@@ -253,29 +252,68 @@ def _residue_lift(a: Matrix) -> tuple:
 def kernel_basis(a: Matrix) -> KernelModule:
     """Generators of the right kernel {x : A x = 0}.
 
-    One echelon pass (no Hermite reduction) runs on the rows [A^T | I],
-    pivoting on the first A.rows columns; the blocks row[A.rows:] of the
-    rows at index rank and beyond face zero rows and generate the kernel,
-    a basis over the Euclidean rings (complete, not just finite index).
-    Over Z/m the rows are [lift | I], the lift of the system to [A | m I]
-    over the integers, and each block is cut to its first A.cols entries
-    and reduced mod m, per the augmented-congruence construction; zero and
-    repeated ones are dropped.  Each generator is checked once, A v = 0
-    over the ring of A.
+    Over the rings whose elimination ring is Euclidean, one echelon pass
+    (no Hermite reduction) runs on the rows [A^T | I], pivoting on the
+    first A.rows columns; the blocks row[A.rows:] of the rows at index
+    rank and beyond face zero rows and generate the kernel, a basis
+    (complete, not just finite index).  Over Z/m the rows are [lift | I],
+    the lift of the system to [A | m I] over the integers, and each block
+    is cut to its first A.cols entries and reduced mod m, per the
+    augmented-congruence construction; zero and repeated ones are dropped.
+    Over Z[x], which has no echelon, the generators are signed maximal
+    minors (``_minor_kernel``): a basis over the fraction field, whose
+    span is a full-rank submodule of the kernel that may be proper.  Each
+    generator is checked once, A v = 0 over the ring of A.
     """
     ring = a.ring
-    work = _euclidean_elimination(ring, "kernel computation")
-    t = a.transpose()
-    rows = _augment(work, t.entries if work is ring else _residue_lift(t))
-    rank = len(_echelon(work, rows, a.rows))
-    gens = (tuple(row[a.rows:]) for row in rows[rank:])
-    if work is not ring:
-        gens = (tuple(x % ring.modulus for x in v[: a.cols]) for v in gens)
+    work = _elimination_ring(ring)
+    if work.is_euclidean:
+        t = a.transpose()
+        rows = _augment(work, t.entries if work is ring else _residue_lift(t))
+        rank = len(_echelon(work, rows, a.rows))
+        gens = (tuple(row[a.rows:]) for row in rows[rank:])
+        if work is not ring:
+            gens = (tuple(x % ring.modulus for x in v[: a.cols]) for v in gens)
+    else:
+        gens = _minor_kernel(a)
     basis = tuple(v for v in dict.fromkeys(gens) if not vec_is_zero(ring, v))
     for vec in basis:
         if not vec_is_zero(ring, a.apply(vec)):
             raise IdentityViolation("kernel basis vector failed A v = 0")
     return KernelModule(ring, a.cols, basis)
+
+
+def _minor(a: Matrix, rows: list, cols: list):
+    """The minor of a on the given rows and columns; 1 when there are none."""
+    if not rows:
+        return a.ring.one
+    return Matrix._raw(a.ring, tuple(tuple(a.entries[i][j] for j in cols) for i in rows)).det()
+
+
+def _minor_kernel(a: Matrix) -> Iterator[tuple]:
+    """Kernel generators over a domain without an echelon, one per column f
+    outside a nonsingular maximal minor.  Rows are kept greedily while some
+    new column gives them a nonzero minor, which ends with r = rank rows R
+    and columns C.  The generator of f has, at each column c of the sorted
+    S = C + {f}, the minor of R on S - {c}, signed (-1)^(position of c in
+    S): by Laplace expansion its product with any row of R is a minor with
+    a repeated row, and the other rows are combinations of R over the
+    fraction field.  A 1x2 map (a, b) with a != 0 gives (b, -a)."""
+    z = a.ring.zero
+    rows, cols = [], []
+    for i in range(a.rows):
+        j = next((j for j in range(a.cols) if j not in cols
+                  and _minor(a, rows + [i], cols + [j]) != z), None)
+        if j is not None:
+            rows.append(i)
+            cols.append(j)
+    for f in sorted(set(range(a.cols)).difference(cols)):
+        s = sorted(cols + [f])
+        vec = [z] * a.cols
+        for k, c in enumerate(s):
+            m = _minor(a, rows, [x for x in s if x != c])
+            vec[c] = a.ring.neg(m) if k % 2 else m
+        yield tuple(vec)
 
 
 def coefficient_tuples(ring: Ring, k: int) -> Iterator[tuple]:
@@ -332,29 +370,13 @@ def solution_stream(a: Matrix, count: int) -> Iterator[tuple]:
         yield vec
 
 
-def principal_kernel_family(ring: Ring, a, b, count: int) -> Iterator[tuple]:
-    """Kernel elements of the 1x2 map (x, y) -> a x + b y over rings where
-    a general kernel basis is not computable: the family c * (b, -a),
-    streamed from that one generator and each checked on emission.
-
-    For the zero map the whole rank-2 module is streamed instead."""
-    ring.check(a)
-    ring.check(b)
-    if a == ring.zero and b == ring.zero:
-        basis = ((ring.one, ring.zero), (ring.zero, ring.one))
-    else:
-        basis = ((b, ring.neg(a)),)
-    for vec in combination_stream(KernelModule(ring, 2, basis), count):
-        if ring.add(ring.mul(a, vec[0]), ring.mul(b, vec[1])) != ring.zero:
-            raise IdentityViolation("kernel family member failed f(v) = 0")
-        yield vec
-
-
 def in_row_span(ring: Ring, rows, vec: tuple) -> bool:
     """Whether vec is a ring-linear combination of the given row vectors,
     decided by reducing vec by an echelon form of the rows, with no
     transform block (any echelon basis decides membership); over Z/m this
     is decided over Z, on ``_residue_lift`` of the rows."""
+    for x in vec:
+        ring.check(x)
     rows = [tuple(r) for r in rows]
     if any(len(r) != len(vec) for r in rows):
         raise ValueError(f"vector length {len(vec)} does not match the rows")

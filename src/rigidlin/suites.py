@@ -37,17 +37,16 @@ from .matrix import (
     format_matrix,
     format_vector,
     unit_vector,
+    vec_combination,
     vec_is_zero,
 )
 from .normal_forms import (
-    _euclidean_elimination,
     in_row_span,
     kernel_basis,
-    principal_kernel_family,
     smith_normal_form,
     solution_stream,
 )
-from .rings import Integers, IntegerPolynomials, Ring
+from .rings import Integers, Ring
 from .witnesses import (
     PreparedConjugator,
     StabilizerContext,
@@ -293,14 +292,12 @@ def _suite_rigidity(ring: Ring, p: dict, check: _Checker) -> dict:
 
     trials, need = p["trials"], p["need"]
     pool = ring.take(40)
-    use_family = isinstance(ring, IntegerPolynomials)
     for t in range(trials):
         rng = _rng(p["seed"], "rigidity-infinite", t)
         a, b = rng.choice(pool), rng.choice(pool)
         label = f"({ring.format(a)}, {ring.format(b)})"
-        stream = (principal_kernel_family(ring, a, b, need) if use_family
-                  else solution_stream(Matrix(ring, [[a, b]]), need))
-        found = check.attempt(lambda: (label, "kernel membership"), lambda: list(stream))
+        found = check.attempt(lambda: (label, "kernel membership"),
+                              lambda: list(solution_stream(Matrix(ring, [[a, b]]), need)))
         if found is None:
             continue
         check.expect(len(set(found)) >= need, lambda: (
@@ -356,28 +353,19 @@ def _random_stabilizer_conjugator(rng: random.Random, ring: Ring, n: int,
     of A: row -> row + (row . w) psi."""
     dim = n - 1
 
-    def combo():
-        out = [ring.zero] * dim
-        for f in functionals:
-            c = rng.choice(pool)
-            if c != ring.zero:
-                out = ring.axpy(out, ring.neg(c), f)
-        return tuple(out)
+    def combo(vectors):
+        return vec_combination(ring, [rng.choice(pool) for _ in vectors], vectors, dim)
 
-    x_part = combo()
+    x_part = combo(functionals)
     block = Matrix.identity(ring, dim).entries
     for _ in range(rng.randint(0, 2)):
-        psi = combo()
+        psi = combo(functionals)
         if all(c == ring.zero for c in psi):
             continue
         w_kernel = kernel_basis(Matrix(ring, [list(psi)]))
         if not w_kernel.basis:
             continue
-        w = [ring.zero] * dim
-        for gen in w_kernel.basis:
-            c = rng.choice(pool)
-            if c != ring.zero:
-                w = ring.axpy(w, ring.neg(c), gen)
+        w = combo(w_kernel.basis)
         block = [ring.axpy(row, ring.neg(d), psi) for row, d in zip(block, ring.dots(w, block))]
     top = (ring.one,) + x_part
     return Matrix._raw(ring, (top,) + tuple((ring.zero,) + tuple(row) for row in block))
@@ -503,17 +491,12 @@ def _isotropic_pool(ctx: StabilizerContext) -> list:
 
 
 def _combine(rng: random.Random, ring: Ring, vectors: list, size: int, coeffs: list) -> tuple:
-    out = tuple(ring.zero for _ in range(size))
-    for v in vectors:
-        if rng.random() < 0.5:
-            c = rng.choice(coeffs)
-            out = ring.axpy(out, ring.neg(c), v)
-    return tuple(out)
+    # the draws, random() then choice() per vector, fix the reports
+    picked = [rng.choice(coeffs) if rng.random() < 0.5 else ring.zero for _ in vectors]
+    return vec_combination(ring, picked, vectors, size)
 
 
 def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
-    # whether a trial reaches kernel_basis depends on its draws: refuse first
-    _euclidean_elimination(ring, "kernel computation")
     combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
     params = _small_params(ring)
     coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
@@ -568,7 +551,6 @@ def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
 
 
 def _suite_block_witnesses(ring: Ring, p: dict, check: _Checker) -> dict:
-    _euclidean_elimination(ring, "kernel computation")  # as in transvections
     need = p["need"]
     params = _small_params(ring)
     for kind, n in p["configs"]:

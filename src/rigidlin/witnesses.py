@@ -18,6 +18,11 @@ Three constructions, all emitted through fail-fast verification:
 Pairing rows v^T * gram come from ``BilinearForm.covector``, never from a
 product with the Gram matrix.
 
+Every kernel these constructions stream from comes from ``kernel_basis``,
+over all five rings: over Z[x] its generators are signed maximal minors,
+so the streams walk a full-rank submodule of the kernel that may be
+proper; over the other rings they walk the whole kernel.
+
 Verification is mandatory on emission, never sampled: a witness that
 fails its defining identity raises ``IdentityViolation``.  Each conjugator
 is checked once, where it enters (``StabilizerContext``,
@@ -199,6 +204,8 @@ def complement_module(form: BilinearForm, vectors) -> KernelModule:
 
     Computed as the kernel of the stacked pairing rows: ``kernel_basis``
     checks <v, gen> = 0 for every generator, and <gen, v> = eps <v, gen>.
+    Over Z[x] the generators span a full-rank submodule of it that may be
+    proper.
     """
     ring = form.ring
     size = form.size
@@ -245,6 +252,8 @@ def transvection(form: BilinearForm, u, v) -> Matrix:
     """
     ring = form.ring
     u, v = tuple(u), tuple(v)
+    for x in u + v:
+        ring.check(x)
     _require_isotropic(form, u, v)
     neg_eps_u = vec_neg(ring, u) if form.epsilon == 1 else u
     return _identity_minus(form, ((neg_eps_u, form.covector(v)), (v, form.covector(u))),
@@ -257,7 +266,8 @@ def transvection_short(form: BilinearForm, v, r) -> Matrix:
     orthogonal side."""
     ring = form.ring
     v = tuple(v)
-    ring.check(r)
+    for x in v + (r,):
+        ring.check(x)
     if form.pairing(v, v) != ring.zero:
         raise ValueError("short transvection needs isotropic v")
     if form.epsilon == 1:

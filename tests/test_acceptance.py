@@ -66,25 +66,27 @@ def test_criterion_03_kernel_completeness():
 def test_criterion_04_intersection_witnesses():
     start = time.perf_counter()
     failures = 0
-    for n in (3, 4, 5):
-        report = run_suite("lemma-ke", Z,
-                           {"n": n, "trials": 20, "need": 50, "seed": SEED})
-        failures += len(report.failures)
+    for ring in (Z, IntegerPolynomials()):
+        for n in (3, 4, 5):
+            report = run_suite("lemma-ke", ring,
+                               {"n": n, "trials": 20, "need": 50, "seed": SEED})
+            failures += len(report.failures)
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 10.0
-    report_line(4, "50 verified intersection witnesses, n in {3,4,5} x 20 tuples", ok,
+    report_line(4, "50 verified intersection witnesses, n in {3,4,5} x 20 tuples, Z and Z[x]", ok,
                 f"failures={failures}, {elapsed:.1f}s")
 
 
 def test_criterion_05_conjugation_closure():
     failures = 0
-    for n in (3, 4, 5):
-        report = run_suite("lemma-new", Z,
-                           {"n": n, "trials": 20, "need": 50, "conjugators": 10,
-                            "seed": SEED})
-        failures += len(report.failures)
+    for ring in (Z, IntegerPolynomials()):
+        for n in (3, 4, 5):
+            report = run_suite("lemma-new", ring,
+                               {"n": n, "trials": 20, "need": 50, "conjugators": 10,
+                                "seed": SEED})
+            failures += len(report.failures)
     ok = failures == 0
-    report_line(5, "conjugation closure over 10 stabilizer conjugators per trial", ok,
+    report_line(5, "conjugation closure over 10 stabilizer conjugators per trial, Z and Z[x]", ok,
                 f"failures={failures}")
 
 

@@ -130,17 +130,20 @@ def test_verify_refuses_bad_list_entries(capsys, monkeypatch, argv, message):
     (("lemma-ke", "--param", "n=true"), "n must be int, got True"),
     (("lemma-ke", "--param", "trials=2.5"), "trials must be int, got 2.5"),
     (("lemma-ke", "--param", "trials=two"), "not a JSON literal"),
-    (("transvections", "--ring", "Z[x]", "--trials", "1", "--seed", "2"),
-     "no kernel computation over Z[x]"),
-    (("transvections", "--ring", "Z[x]", "--trials", "1", "--seed", "6"),
-     "no kernel computation over Z[x]"),
 ], ids=["new-unknown", "ke-unknown", "axioms-n", "abelian-trials", "new-n2", "new-n1",
-        "rigidity-cap", "int-for-list", "bool-for-int", "float-for-int", "not-json",
-        "kernelless-seed-2", "kernelless-seed-6"])
+        "rigidity-cap", "int-for-list", "bool-for-int", "float-for-int", "not-json"])
 def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert message in err and "pass" not in out
+
+
+@pytest.mark.parametrize("suite", ["transvections", "t-a-witnesses"])
+@pytest.mark.parametrize("seed", ["2", "6"])
+def test_verify_kernel_suites_over_integer_polynomials(capsys, suite, seed):
+    code, out, _ = run_cli(capsys, "verify", suite, "--ring", "Z[x]", "--trials", "1",
+                           "--seed", seed)
+    assert code == 0 and ": pass (" in out
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -235,9 +238,21 @@ def test_kernel_over_modular(capsys):
     assert payload["basis"] == ["2"] and payload["stream_sample"] == ["2"]
 
 
-def test_kernel_unsupported_ring(capsys):
-    code, _, err = run_cli(capsys, "kernel", "--ring", "Z[x]", "--matrix", "x,1")
-    assert code == 2 and "error" in err
+def test_kernel_over_integer_polynomials(capsys):
+    # the signed 2x2 minors of the rows on the columns other than each
+    # entry's; each row times the generator is zero, term by term
+    code, out, _ = run_cli(capsys, "kernel", "--ring", "Z[x]",
+                           "--matrix", "x+1,2*x,3;x^2,1,x", "--count", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["basis"] == ["2*x^2-3,2*x^2-x,-2*x^3+x+1"]
+    assert payload["stream_sample"] == ["2*x^2-3,2*x^2-x,-2*x^3+x+1",
+                                        "-2*x^2+3,-2*x^2+x,2*x^3-x-1"]
+
+
+def test_snf_unsupported_ring(capsys):
+    code, out, err = run_cli(capsys, "snf", "--ring", "Z[x]", "--matrix", "x,1")
+    _assert_refused(code, out, err, "no Smith form over Z[x]")
 
 
 def test_snf_command_reverifies(capsys):
@@ -261,6 +276,27 @@ def test_witness_linear_group(capsys):
     assert payload["witnesses"][0] == "1,0,1;0,1,0;0,0,1"
     basis = [tuple(int(t) for t in u.split(",")) for u in payload["u_vectors"]]
     assert in_row_span(Z, [(1, 0)], basis[0])
+
+
+def test_witness_over_integer_polynomials(capsys):
+    # g e1 = (1, x, 1): the functional (1, -x) annihilates its tail (x, 1)
+    code, out, _ = run_cli(capsys, "witness", "--group", "en", "--n", "3", "--ring", "Z[x]",
+                           "--conjugators", "e(2,1,x);e(3,1,1)", "--count", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["u_vectors"] == ["x,1"]
+    assert payload["witnesses"] == ["1,1,-x;0,1,0;0,0,1", "1,-1,x;0,1,0;0,0,1",
+                                    "1,x,-x^2;0,1,0;0,0,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "esp", "--n", "2", "--conjugators", "rs(3,2,x)"),
+    ("--group", "eo", "--n", "3", "--conjugators", "rs(1,5,x);rs(2,1,1)"),
+], ids=["esp", "eo"])
+def test_block_witnesses_over_integer_polynomials(capsys, argv):
+    code, out, _ = run_cli(capsys, "witness", *argv, "--ring", "Z[x]", "--count", "3")
+    assert code == 0
+    assert len(json.loads(out)["witnesses"]) == 3
 
 
 def test_witness_symplectic_block_family(capsys):

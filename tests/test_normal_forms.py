@@ -22,7 +22,6 @@ from rigidlin import (
     parse_matrix,
     format_matrix,
     format_vector,
-    principal_kernel_family,
     ring_from_text,
     smith_normal_form,
     solution_stream,
@@ -558,9 +557,35 @@ def test_kernel_modular():
     assert km.basis == ((2,),)
 
 
-def test_kernel_unsupported():
-    with pytest.raises(UnsupportedRingError):
-        kernel_basis(parse_matrix(IntegerPolynomials(), "x,1"))
+def test_kernel_over_integer_polynomials():
+    # signed maximal minors: (b, -a) for a 1x2 map, e_1 and e_2 for the zero map
+    zx = IntegerPolynomials()
+    assert kernel_basis(parse_matrix(zx, "x,1")).basis == ((zx.one, zx.parse("-x")),)
+    assert kernel_basis(parse_matrix(zx, "0,0")).basis == ((zx.one, zx.zero), (zx.zero, zx.one))
+    # a full-rank submodule that may be proper: e_3 is in the kernel but not in the span
+    basis = kernel_basis(parse_matrix(zx, "x,2,0")).basis
+    assert basis == tuple(tuple(map(zx.parse, v.split(","))) for v in ("2,-x,0", "0,0,-x"))
+    a = parse_matrix(zx, "x,2,0;1,x,x^2;x+1,x+2,x^2")  # row 3 = row 1 + row 2
+    basis = kernel_basis(a).basis
+    assert len(basis) == 1 and a.apply(basis[0]) == (zx.zero,) * 3
+
+
+_real_minor = rigidlin.normal_forms._minor
+
+
+def _minor_negated_off_column_zero(a, rows, cols):
+    """The minor, negated when its columns leave out column 0: in each
+    kernel generator whose columns include 0, exactly the minor at column 0
+    changes sign.  A v = 0 then fails wherever that entry and column 0 of
+    A are both nonzero."""
+    m = _real_minor(a, rows, cols)
+    return m if 0 in cols else a.ring.neg(m)
+
+
+def test_kernel_basis_checks_each_minor_generator(monkeypatch):
+    monkeypatch.setattr(rigidlin.normal_forms, "_minor", _minor_negated_off_column_zero)
+    with pytest.raises(IdentityViolation, match="kernel basis vector failed A v = 0"):
+        kernel_basis(parse_matrix(IntegerPolynomials(), "x+1,2*x"))
 
 
 # -- streams -----------------------------------------------------------------
@@ -592,7 +617,7 @@ def test_solution_stream_finite_ring_terminates():
 def test_principal_kernel_family():
     zx = IntegerPolynomials()
     a, b = zx.parse("x+1"), zx.parse("2*x")
-    found = list(principal_kernel_family(zx, a, b, 30))
+    found = list(solution_stream(Matrix(zx, [[a, b]]), 30))
     assert len(set(found)) == 30
     for v in found:
         assert zx.add(zx.mul(a, v[0]), zx.mul(b, v[1])) == zx.zero
@@ -600,7 +625,7 @@ def test_principal_kernel_family():
     multipliers = [c for c in zx.take(31) if c != zx.zero]
     assert found == [(zx.mul(b, c), zx.neg(zx.mul(a, c))) for c in multipliers]
     # zero map: the whole rank-2 module qualifies
-    everything = list(principal_kernel_family(zx, zx.zero, zx.zero, 10))
+    everything = list(solution_stream(Matrix(zx, [[zx.zero, zx.zero]]), 10))
     assert len(set(everything)) == 10
 
 
@@ -630,9 +655,8 @@ def test_streams_check_each_emitted_vector(monkeypatch):
     monkeypatch.setattr(rigidlin.normal_forms, "combination_stream", _off_by_one_stream)
     with pytest.raises(IdentityViolation, match="streamed solution failed A v = 0"):
         list(solution_stream(parse_matrix(Z, "2,3"), 3))
-    zx = IntegerPolynomials()
-    with pytest.raises(IdentityViolation, match="kernel family member failed"):
-        list(principal_kernel_family(zx, zx.parse("x+1"), zx.parse("2*x"), 3))
+    with pytest.raises(IdentityViolation, match="streamed solution failed A v = 0"):
+        list(solution_stream(parse_matrix(IntegerPolynomials(), "x+1,2*x"), 3))
 
 
 def test_in_row_span():
@@ -659,6 +683,17 @@ def test_in_row_span_refuses_a_vector_of_another_length():
         in_row_span(Modular(4), [(2, 1)], (2,))
 
 
+@pytest.mark.parametrize("ring, rows, vec, bad", [
+    (Z, [(1, 0)], (2.0, 0), "2.0 is not an element of Z"),
+    (Modular(6), [(1,)], (7,), "7 is not an element of Z/6"),
+    (Z, [(1, 0)], ("a", 0), "'a' is not an element of Z"),
+    (Z, [], (0.0,), "0.0 is not an element of Z"),
+], ids=["float", "out-of-range", "string", "no-rows"])
+def test_in_row_span_checks_each_vector_entry(ring, rows, vec, bad):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        in_row_span(ring, rows, vec)
+
+
 @pytest.mark.parametrize("rows", [["x,1"], ["0,0"]], ids=["rows", "zero-rows"])
 def test_in_row_span_refuses_non_euclidean_rings(rows):
     zx = IntegerPolynomials()
@@ -670,8 +705,7 @@ def test_in_row_span_refuses_non_euclidean_rings(rows):
 @pytest.mark.parametrize("call, what", [
     (hermite_normal_form, "Hermite form"),
     (smith_normal_form, "Smith form"),
-    (kernel_basis, "kernel computation"),
-], ids=["hnf", "snf", "kernel"])
+], ids=["hnf", "snf"])
 def test_normal_forms_name_what_a_non_euclidean_ring_lacks(call, what):
     a = parse_matrix(IntegerPolynomials(), "x,1;2,x^2")
     with pytest.raises(UnsupportedRingError, match=re.escape(f"no {what} over Z[x]")):

@@ -1,11 +1,14 @@
 """Property tests of the Hermite, Smith and kernel contracts over Z and
-Fp[x]/5, on matrices of up to 5 x 6 with small entries.  The examples are
-derandomized and their number is fixed, so every run checks the same
-matrices; a failure is shrunk and prints the matrix it drew."""
+Fp[x]/5, on matrices of up to 5 x 6 with small entries, and of the kernel
+contract over Z[x], on matrices of up to 3 x 4 with entries of degree at
+most 2.  The examples are derandomized and their number is fixed, so every
+run checks the same matrices; a failure is shrunk and prints the matrix it
+drew."""
 
 import pytest
 
 from rigidlin import (
+    IntegerPolynomials,
     Integers,
     Matrix,
     PrimeFieldPolynomials,
@@ -99,3 +102,33 @@ def test_kernel_contract(ring_text, data):
     h, _ = hermite_normal_form(a)
     rank = sum(_leading(ring, h.row(i)) is not None for i in range(h.rows))
     assert rank + len(basis) == a.cols
+
+
+ZX = IntegerPolynomials()
+ZX_ENTRIES = st.lists(st.integers(-3, 3), max_size=3).map(_polynomial)  # degree <= 2
+
+
+@CONTRACT
+@given(data=st.data())
+def test_kernel_contract_over_integer_polynomials(data):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = data.draw(st.integers(1, 3), label="rows")
+    cols = data.draw(st.integers(1, 4), label="cols")
+    row = st.lists(ZX_ENTRIES, min_size=cols, max_size=cols)
+    a = Matrix(ZX, data.draw(st.lists(row, min_size=rows, max_size=rows), label="A"))
+    basis = kernel_basis(a).basis
+    for vec in basis:  # A v, recomputed here by schoolbook sums of products
+        for entries in a.entries:
+            total = ZX.zero
+            for x, y in zip(entries, vec):
+                total = ZX.add(total, ZX.mul(x, y))
+            assert total == ZX.zero
+    # the rank over the fraction field Q(x), from sympy
+    x = sympy.symbols("x")
+    domain = sympy.ZZ[x]
+    grid = [[domain.from_sympy(sum(c * x**k for k, c in enumerate(e))) for e in r]
+            for r in a.entries]
+    rank = DomainMatrix(grid, (a.rows, a.cols), domain).to_field().rank()
+    assert len(basis) == a.cols - rank

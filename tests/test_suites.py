@@ -103,7 +103,8 @@ PINNED_REPORTS = {
     ("lemma-new", "Z/7"): "91298649b8bf283d9a4922d98de715c3c5c794b6b819241421440149ea456521",
 }
 # The same, recorded before polynomial arithmetic moved to whole coefficient
-# lists.  transvections and t-a-witnesses take kernels, which Z[x] lacks.
+# lists.  Z[x] had no kernel computation then, so transvections and
+# t-a-witnesses were pinned over Fp[x]/5 alone.
 PINNED_POLYNOMIAL_REPORTS = {
     ("ring-axioms", "Fp[x]/5"): "61dfba5b4641b0d533bf31987b735cb5084ce8d0baca917bda94ce2c63f7e3c4",
     ("ring-axioms", "Z[x]"): "e7ce92f9ef817b20ffe28106e0b0b81d3aa8d923d55af21ad0bd297e5de24b5d",
@@ -113,6 +114,14 @@ PINNED_POLYNOMIAL_REPORTS = {
     ("forms-generators", "Z[x]"): "41371b8b6b726646d7ed4d0945808ce57fe4396ce99d1ea9bcda7758a3f784e9",
     ("transvections", "Fp[x]/5"): "4bc8141bf468dfa659e4b66948b422bf91c91f40538382cc529af8ce82ab16d2",
     ("t-a-witnesses", "Fp[x]/5"): "1ef63afe0f67232dcfca6d7c3f01f2c530f531d6378fef6f3ee43171c8e98de4",
+}
+# The kernel-using suites over Z[x], recorded when ``kernel_basis`` took
+# over Z[x] with signed maximal minors.
+PINNED_MINOR_KERNEL_REPORTS = {
+    ("lemma-ke", "Z[x]"): "7f7409a8239060a45ea09c28af614a6848b1141f6ce677f0b2fae56938622af5",
+    ("lemma-new", "Z[x]"): "7edcaf01bd318c7a9548150077e8bf5ce8bc85d262cd69553651f76268289c08",
+    ("transvections", "Z[x]"): "3c0fe5bc3d77f8c3e9e24bfbf62029398a620915de38a0b04944b420e55b6adb",
+    ("t-a-witnesses", "Z[x]"): "fb3775c4299478d7f12bae07da3bf574cfc4d0964c39f3ae961f847e516c2e40",
 }
 # The same over Z, recorded before these suites stopped re-checking the
 # identities that their emitters check.  rigidity-empirical was re-pinned
@@ -167,6 +176,11 @@ def test_stabilizer_reports_match_pinned_digest(suite, ring_text):
 @pytest.mark.parametrize("suite, ring_text", sorted(PINNED_POLYNOMIAL_REPORTS))
 def test_polynomial_ring_reports_match_pinned_digest(suite, ring_text):
     assert _report_digest(suite, ring_text) == PINNED_POLYNOMIAL_REPORTS[suite, ring_text]
+
+
+@pytest.mark.parametrize("suite, ring_text", sorted(PINNED_MINOR_KERNEL_REPORTS))
+def test_minor_kernel_reports_match_pinned_digest(suite, ring_text):
+    assert _report_digest(suite, ring_text) == PINNED_MINOR_KERNEL_REPORTS[suite, ring_text]
 
 
 @pytest.mark.parametrize("suite, ring_text", sorted(PINNED_EMITTER_REPORTS))
@@ -400,6 +414,20 @@ def _block_with_an_extra_upper_entry(form, params):
     return Matrix(a.ring, rows)
 
 
+_real_minor = rigidlin.normal_forms._minor
+
+
+def _minor_negated_off_column_zero(a, rows, cols):
+    """The minor, negated when its columns leave out column 0: in each
+    Z[x] kernel generator whose columns include 0, exactly the minor at
+    column 0 changes sign.  No sign flip breaks A v = 0 on a matrix whose
+    nonzero columns all lie in the kept minor, so the Z[x] cases below take
+    parameters under which each trial's kernel has a nonzero column
+    outside it."""
+    m = _real_minor(a, rows, cols)
+    return m if 0 in cols else a.ring.neg(m)
+
+
 @pytest.mark.parametrize("suite, ring, params, module, name, broken, expected", [
     ("kernel-oracle", Z, {"trials": 5, "box": 2}, rigidlin.normal_forms, "_echelon",
      _no_pivots, "A v == 0"),
@@ -416,8 +444,14 @@ def _block_with_an_extra_upper_entry(form, params):
     ("t-a-witnesses", ring_from_text("Fp[x]/5"), {"trials": 2, "need": 4}, rigidlin.witnesses,
      "_block_from_parameters", _block_with_an_extra_upper_entry,
      "fixes g e1 and preserves the form"),
+    ("lemma-ke", IntegerPolynomials(), {"n": 5, "trials": 2, "need": 4}, rigidlin.normal_forms,
+     "_minor", _minor_negated_off_column_zero, "verified intersection witnesses"),
+    ("t-a-witnesses", IntegerPolynomials(),
+     {"configs": [["orthogonal", 3]], "trials": 2, "need": 4}, rigidlin.normal_forms, "_minor",
+     _minor_negated_off_column_zero, "fixes g e1 and preserves the form"),
 ], ids=["kernel-oracle", "rigidity-empirical", "rigidity-empirical-finite", "transvections",
-        "transvections-flipped-sign", "t-a-witnesses", "t-a-witnesses-poly"])
+        "transvections-flipped-sign", "t-a-witnesses", "t-a-witnesses-poly",
+        "lemma-ke-minor-sign", "t-a-witnesses-minor-sign"])
 def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ring, params,
                                                           module, name, broken, expected):
     monkeypatch.setattr(module, name, broken)
@@ -475,13 +509,11 @@ def test_configs_of_one_half_rank_and_both_kinds_are_distinct():
 
 @pytest.mark.parametrize("suite", ["transvections", "t-a-witnesses"])
 @pytest.mark.parametrize("seed", range(1, 7))
-def test_kernel_suites_refuse_kernelless_rings_before_any_trial(monkeypatch, suite, seed):
-    def no_trial(*args):
-        raise AssertionError("a trial started")
-
-    monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
-    with pytest.raises(UnsupportedRingError, match="no kernel computation over Z\\[x\\]"):
-        run_suite(suite, IntegerPolynomials(), {"trials": 1, "seed": seed})
+def test_kernel_suites_run_over_integer_polynomials(suite, seed):
+    # whether a trial reaches kernel_basis depends on its draws; every
+    # trial runs, over the minor generators where it does
+    report = run_suite(suite, IntegerPolynomials(), {"trials": 2, "seed": seed})
+    assert report.verdict == "pass" and report.trials >= 2
 
 
 @pytest.mark.parametrize("kind", ["esp", "eo"])

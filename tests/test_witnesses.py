@@ -335,6 +335,20 @@ def test_transvection_short_pinned():
     assert transvection_short(orth, e1, 1) == Matrix.identity(Z, 4)
 
 
+@pytest.mark.parametrize("ring, build, bad", [
+    (Z, lambda f: transvection(f, (1.0, 0, 0, 0), (0, 1, 0, 0)), "1.0 is not an element of Z"),
+    (Z, lambda f: transvection(f, (1, 0, 0, 0), (0, 1, 0, 0.5)), "0.5 is not an element of Z"),
+    (Modular(5), lambda f: transvection(f, (1, 0, 0, 0), (0, 6, 0, 0)),
+     "6 is not an element of Z/5"),
+    (Z, lambda f: transvection_short(f, (1.5, 0, 0, 0), 1), "1.5 is not an element of Z"),
+    (Modular(5), lambda f: transvection_short(f, (0, 0, 0, 5), 1), "5 is not an element of Z/5"),
+], ids=["float-u", "float-v", "residue-v", "short-float-v", "short-residue-v"])
+def test_transvections_check_each_vector_entry(ring, build, bad):
+    for kind in ("symplectic", "orthogonal"):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            build(form_matrix(ring, 2, kind))
+
+
 def test_transvection_isotropy_enforced():
     orth = form_matrix(Z, 2, "orthogonal")
     e1 = unit_vector(Z, 4, 0)
