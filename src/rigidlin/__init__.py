@@ -52,7 +52,6 @@ from .groups import (
 )
 from .witnesses import (
     BlockWitness,
-    PreparedConjugator,
     ShearWitness,
     StabilizerContext,
     block_unipotent_witnesses,
@@ -81,7 +80,6 @@ __all__ = [
     "Modular",
     "NotInvertibleError",
     "ParseError",
-    "PreparedConjugator",
     "PrimeFieldPolynomials",
     "Ring",
     "SUITE_IDS",

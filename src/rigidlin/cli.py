@@ -7,9 +7,10 @@ the ``e(i,j,r);rl(i,a);rs(i,j,a)`` token grammar, rings the descriptors
 
 Exit codes: 0 when the requested check passes, 1 when a suite reports a
 failure or a verified identity fails, 2 on usage errors (bad literals,
-unsupported rings, unknown suites, parameters a suite does not take or
-that are out of range, enumerations above their cap, ``--seed`` outside
-``verify``, ``--count`` below 1).
+unsupported rings, unknown suites, parameters a suite does not take,
+that are out of range or that the ring's branch of the suite ignores,
+enumerations above their cap, ``--seed`` outside ``verify``, ``--count``
+below 1, ``witness --group en`` below size 2).
 """
 
 from __future__ import annotations

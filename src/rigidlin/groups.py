@@ -43,11 +43,7 @@ def elementary_matrix(ring: Ring, n: int, i: int, j: int, r) -> Matrix:
     if i == j:
         raise ValueError("off-diagonal position required (i != j)")
     ring.check(r)
-    grid = [
-        [ring.one if a == b else ring.zero for b in range(n)] for a in range(n)
-    ]
-    grid[i - 1][j - 1] = r
-    return Matrix._raw(ring, tuple(map(tuple, grid)))
+    return Matrix._placed(ring, n, n, {(i - 1, j - 1): r}, ring.one)
 
 
 def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Matrix:
@@ -70,18 +66,13 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
     ring.check(a)
     si = sigma_index(n, i)
     sj = sigma_index(n, j)
-    grid = [
-        [ring.one if r == c else ring.zero for c in range(size)] for r in range(size)
-    ]
-    if j == si:
-        if epsilon != -1:
-            raise ValueError("the (i, sigma i) generator exists only in the symplectic group")
-        grid[i - 1][j - 1] = a
-        return Matrix._raw(ring, tuple(map(tuple, grid)))
-    mirrored = a if epsilon == 1 or (i <= n) == (j <= n) else ring.neg(a)
-    grid[i - 1][j - 1] = a
-    grid[sj - 1][si - 1] = ring.neg(mirrored)
-    return Matrix._raw(ring, tuple(map(tuple, grid)))
+    if j == si and epsilon != -1:
+        raise ValueError("the (i, sigma i) generator exists only in the symplectic group")
+    placed = {(i - 1, j - 1): a}
+    if j != si:
+        mirrored = a if epsilon == 1 or (i <= n) == (j <= n) else ring.neg(a)
+        placed[sj - 1, si - 1] = ring.neg(mirrored)
+    return Matrix._placed(ring, size, size, placed, ring.one)
 
 
 @dataclass(frozen=True)
@@ -120,14 +111,9 @@ def form_matrix(ring: Ring, n: int, kind: str) -> BilinearForm:
         raise ValueError("half-rank must be positive")
     if kind not in ("symplectic", "orthogonal"):
         raise ValueError(f"unknown form kind {kind!r}")
-    size = 2 * n
-    z, o = ring.zero, ring.one
-    lower = ring.neg(o) if kind == "symplectic" else o
-    grid = [[z] * size for _ in range(size)]
-    for k in range(n):
-        grid[k][n + k] = o
-        grid[n + k][k] = lower
-    gram = Matrix._raw(ring, tuple(map(tuple, grid)))
+    lower = ring.neg(ring.one) if kind == "symplectic" else ring.one
+    gram = Matrix._placed(ring, 2 * n, 2 * n, {**{(k, n + k): ring.one for k in range(n)},
+                                               **{(n + k, k): lower for k in range(n)}})
     return BilinearForm(kind, n, gram, -1 if kind == "symplectic" else 1)
 
 
@@ -274,22 +260,15 @@ def embed_stabilize(a: Matrix) -> Matrix:
 
     Writing A in n x n blocks [[alpha, beta], [gamma, delta]], the image
     keeps the blocks and inserts a fixed coordinate in front of each block
-    row, so a form-preserving A of half-rank n maps to a form-preserving
-    matrix of half-rank n+1.
+    row: old index k moves to k + 1 + (k >= n), and the new coordinates 0
+    and n + 1 are fixed.  So a form-preserving A of half-rank n maps to a
+    form-preserving matrix of half-rank n+1.
     """
     if a.rows != a.cols or a.rows % 2 != 0:
         raise ValueError("embedding needs a square matrix of even size")
-    ring = a.ring
     n = a.rows // 2
-    size = 2 * n + 2
-    z, o = ring.zero, ring.one
-    grid = [[z] * size for _ in range(size)]
-    grid[0][0] = o
-    grid[n + 1][n + 1] = o
-    for r in range(n):
-        for c in range(n):
-            grid[1 + r][1 + c] = a.entries[r][c]  # alpha
-            grid[1 + r][n + 2 + c] = a.entries[r][n + c]  # beta
-            grid[n + 2 + r][1 + c] = a.entries[n + r][c]  # gamma
-            grid[n + 2 + r][n + 2 + c] = a.entries[n + r][n + c]  # delta
-    return Matrix._raw(ring, tuple(map(tuple, grid)))
+    moved = [k + 1 + (k >= n) for k in range(2 * n)]
+    return Matrix._placed(a.ring, 2 * n + 2, 2 * n + 2,
+                          {(moved[r], moved[c]): x
+                           for r, row in enumerate(a.entries) for c, x in enumerate(row)},
+                          a.ring.one)

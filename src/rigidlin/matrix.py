@@ -47,18 +47,28 @@ class Matrix:
         return self
 
     @classmethod
+    def _placed(cls, ring: Ring, rows: int, cols: int, entries: dict, diagonal=None) -> "Matrix":
+        # the entries {(i, j): x}, 0-based and canonical, placed over zero or
+        # over diagonal * I; unchecked, like _raw
+        grid = [[ring.zero] * cols for _ in range(rows)]
+        if diagonal is not None:
+            for i in range(min(rows, cols)):
+                grid[i][i] = diagonal
+        for (i, j), x in entries.items():
+            grid[i][j] = x
+        return cls._raw(ring, tuple(map(tuple, grid)))
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         if n < 1:
             raise ValueError("size must be positive")
-        z, o = ring.zero, ring.one
-        return cls._raw(ring, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls._placed(ring, n, n, {}, ring.one)
 
     @classmethod
     def zeros(cls, ring: Ring, rows: int, cols: int) -> "Matrix":
         if rows < 1 or cols < 1:
             raise ValueError("dimensions must be positive")
-        z = ring.zero
-        return cls._raw(ring, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return cls._placed(ring, rows, cols, {})
 
     def __eq__(self, other):
         return (

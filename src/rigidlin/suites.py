@@ -48,7 +48,6 @@ from .normal_forms import (
 )
 from .rings import Integers, Ring
 from .witnesses import (
-    PreparedConjugator,
     StabilizerContext,
     block_unipotent_witnesses,
     conjugate_by_stabilizer,
@@ -381,7 +380,7 @@ def _suite_conjugation(ring: Ring, p: dict, check: _Checker) -> dict:
             q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
             results = check.attempt(
                 lambda: (f"{label} ; q={format_matrix(q)}", "closed under conjugation"),
-                lambda: list(conjugate_by_stabilizer(witnesses, PreparedConjugator(ctx, q))),
+                lambda: list(conjugate_by_stabilizer(ctx, q, witnesses)),
                 (ValueError, IdentityViolation))
             if results and t == 0 and not check.samples:
                 check.samples.append({"witness": format_matrix(witnesses[0].matrix),
@@ -513,9 +512,11 @@ def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
                 for _ in range(k)
             )
             ctx = StabilizerContext(ring, 2 * n, conjugators, form)
-            pool = _isotropic_pool(ctx)
             label = f"{kind} n={n} k={k}"
-            if not pool:
+            # a kernel failing its A v = 0 check is one failure of the trial;
+            # the pool is never empty, as k <= n - 1 rows leave a nonzero kernel
+            pool = check.attempt(lambda: (label, "isotropic pool"), lambda: _isotropic_pool(ctx))
+            if pool is None:
                 continue
             u = _combine(rng, ring, pool, 2 * n, coeffs)
             v = _combine(rng, ring, pool, 2 * n, coeffs)
@@ -704,6 +705,14 @@ def run_suite(suite_id: str, ring: Ring, params: dict | None = None) -> WitnessR
     if unknown:
         raise ValueError(f"{suite_id} takes no parameter {', '.join(unknown)}; "
                          f"it takes {', '.join(sorted(resolved))}")
+    if suite_id == "rigidity-empirical":  # refuse a given count that its branch would ignore
+        reads = ("finite_trials",) if ring.is_finite else ("trials", "need")
+        ignored = sorted(set(params) - set(reads) - {"seed"})
+        if ignored:
+            kind = "finite" if ring.is_finite else "infinite"
+            raise ValueError(f"{suite_id} over {ring.descriptor} ignores {', '.join(ignored)}: "
+                             f"{ring.descriptor} is {kind}, so the suite reads "
+                             f"{' and '.join(reads)}")
     for key, value in params.items():
         expected = type(resolved[key])
         if type(value) is not expected:

@@ -6,8 +6,9 @@ Three constructions, all emitted through fail-fast verification:
   the first columns of the conjugating matrices; each emission, and each
   conjugate by a stabilizer element, is checked to lie in every
   conjugated stabilizer.  A batch of shears is conjugated by one
-  prepared stabilizer element in one pass: one ``dots`` per column of
-  its lower block, one per image;
+  stabilizer element in one pass, checked where it enters
+  ``conjugate_by_stabilizer``: one ``dots`` per column of its lower
+  block, one per image;
 * Eichler transvections attached to isotropic pairs in the complement of
   a finite set of vectors under a split bilinear form, built as rank-two
   row updates of the identity and checked once, M^T * gram * M == gram;
@@ -26,7 +27,7 @@ proper; over the other rings they walk the whole kernel.
 Verification is mandatory on emission, never sampled: a witness that
 fails its defining identity raises ``IdentityViolation``.  Each conjugator
 is checked once, where it enters (``StabilizerContext``,
-``PreparedConjugator``), and each witness once, where it is emitted.
+``conjugate_by_stabilizer``), and each witness once, where it is emitted.
 """
 
 from __future__ import annotations
@@ -46,12 +47,15 @@ class StabilizerContext:
     """A tuple of conjugating matrices with their first-column images.
 
     The identity conjugator is implicit: the constraint vectors are e1
-    followed by the first columns of the conjugators.  Each conjugator is
-    checked once, here (ring, size, form, unit determinant); streams over
-    the context check only the identity of each witness they emit.
+    followed by the first columns of the conjugators.  The size is at least
+    2, as for every shear.  Each conjugator is checked once, here (ring,
+    size, form, unit determinant); streams over the context check only the
+    identity of each witness they emit.
     """
 
     def __init__(self, ring: Ring, size: int, conjugators=(), form: BilinearForm | None = None):
+        if size < 2:
+            raise ValueError("shears need size at least 2")
         self.ring = ring
         self.size = size
         self.form = form
@@ -85,8 +89,8 @@ class ShearWitness:
     @property
     def matrix(self) -> Matrix:
         ring, f = self.ring, self.functional
-        rows = Matrix.identity(ring, len(f) + 1).entries[1:]
-        return Matrix._raw(ring, ((ring.one,) + f,) + rows)
+        size = len(f) + 1
+        return Matrix._placed(ring, size, size, {(0, 1 + j): c for j, c in enumerate(f)}, ring.one)
 
 
 @dataclass(frozen=True)
@@ -97,34 +101,9 @@ class BlockWitness:
 
     @property
     def matrix(self) -> Matrix:
-        ring, a = self.block.ring, self.block.entries
-        identity = Matrix.identity(ring, len(a)).entries
-        zero_row = (ring.zero,) * len(a)
-        return Matrix._raw(ring, tuple(e + row for e, row in zip(identity, a))
-                           + tuple(zero_row + e for e in identity))
-
-
-class PreparedConjugator:
-    """A stabilizer element q = (1, x; 0, A) checked once against a context:
-    matching ring and size, fixing e1 and every image, unit determinant
-    (``ValueError`` otherwise).  Keeps the columns of the lower block A.
-    """
-
-    __slots__ = ("context", "matrix", "lower_columns")
-
-    def __init__(self, ctx: StabilizerContext, q: Matrix):
-        if q.rows != ctx.size or q.cols != ctx.size or q.ring != ctx.ring:
-            raise ValueError("conjugator does not match the context")
-        if not stabilizer_check(q):
-            raise ValueError("conjugator is not a stabilizer element (first column != e1)")
-        if ctx.ring.unit_inverse(q.det()) is None:
-            raise ValueError("conjugator is not invertible")
-        for img in ctx.first_column_images:
-            if q.apply(img) != img:
-                raise ValueError("conjugator does not fix the conjugated images")
-        self.context = ctx
-        self.matrix = q
-        self.lower_columns = tuple(zip(*(row[1:] for row in q.entries[1:])))
+        a, n = self.block, self.block.rows
+        placed = {(i, n + j): x for i, row in enumerate(a.entries) for j, x in enumerate(row)}
+        return Matrix._placed(a.ring, 2 * n, 2 * n, placed, a.ring.one)
 
 
 def stabilizer_check(m: Matrix) -> bool:
@@ -167,23 +146,38 @@ def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[Shear
         yield ShearWitness(ring, functional)
 
 
-def conjugate_by_stabilizer(witnesses, q: PreparedConjugator) -> Iterator[ShearWitness]:
-    """Conjugate shears by a stabilizer element q = (1, x; 0, A), prepared
-    once for its context, yielding q^-1 * T * q for each shear T in order.
+def _lower_columns(q: Matrix) -> tuple:
+    # the columns of the lower block A of q = (1, x; 0, A)
+    return tuple(zip(*(row[1:] for row in q.entries[1:])))
 
-    Each result is the shear with functional f' = f*A: as q e1 = e1,
-    q * T' and T * q agree off the first row, and there
-    (1, x + f') = (1, x) + (0, f)*q.  The whole batch is one column-major
-    pass: coordinate j of every f' is one ``dots`` of column j of A against
-    the functionals.  The one check, one ``dots`` per projected image
-    against every f', is that each f' annihilates every image, which makes
-    each T' a member of the intersection whatever shear it came from
-    (``build_shear`` takes any functional).  A shear of another ring or
-    length is refused (``ValueError``) before anything is yielded; a failed
-    check means a broken identity, never a bad input.
+
+def conjugate_by_stabilizer(ctx: StabilizerContext, q: Matrix, witnesses) -> Iterator[ShearWitness]:
+    """Conjugate shears by a stabilizer element q = (1, x; 0, A) of the
+    context, yielding q^-1 * T * q for each shear T in order.
+
+    q is checked once, where it enters, before anything is yielded:
+    matching ring and size, first column e1, unit determinant, and fixing
+    every image (``ValueError`` otherwise).  Each result is the shear with
+    functional f' = f*A: as q e1 = e1, q * T' and T * q agree off the
+    first row, and there (1, x + f') = (1, x) + (0, f)*q.  The whole batch
+    is one column-major pass: coordinate j of every f' is one ``dots`` of
+    column j of A against the functionals.  The one check, one ``dots`` per
+    projected image against every f', is that each f' annihilates every
+    image, which makes each T' a member of the intersection whatever shear
+    it came from (``build_shear`` takes any functional).  A shear of
+    another ring or length is refused (``ValueError``) before anything is
+    yielded; a failed check means a broken identity, never a bad input.
     """
-    ctx = q.context
     ring, dim = ctx.ring, ctx.size - 1
+    if q.rows != ctx.size or q.cols != ctx.size or q.ring != ring:
+        raise ValueError("conjugator does not match the context")
+    if not stabilizer_check(q):
+        raise ValueError("conjugator is not a stabilizer element (first column != e1)")
+    if ring.unit_inverse(q.det()) is None:
+        raise ValueError("conjugator is not invertible")
+    for img in ctx.first_column_images:
+        if q.apply(img) != img:
+            raise ValueError("conjugator does not fix the conjugated images")
     functionals = []
     for witness in witnesses:
         if witness.ring is not ring and witness.ring != ring:
@@ -191,7 +185,7 @@ def conjugate_by_stabilizer(witnesses, q: PreparedConjugator) -> Iterator[ShearW
         if len(witness.functional) != dim:
             raise ValueError(f"shear functional length {len(witness.functional)} != {dim}")
         functionals.append(witness.functional)
-    conjugated = tuple(zip(*(ring.dots(column, functionals) for column in q.lower_columns)))
+    conjugated = tuple(zip(*(ring.dots(column, functionals) for column in _lower_columns(q))))
     for image in ctx.projected_images:
         if not vec_is_zero(ring, ring.dots(image, conjugated)):
             raise IdentityViolation("conjugated functional does not annihilate an image")
@@ -286,13 +280,12 @@ def _symmetry_parameters(form: BilinearForm) -> list[tuple[int, int]]:
 
 def _block_from_parameters(form: BilinearForm, params: tuple) -> Matrix:
     ring = form.ring
-    n = form.n
-    grid = [[ring.zero] * n for _ in range(n)]
+    placed = {}
     for (i, j), value in zip(_symmetry_parameters(form), params):
-        grid[i][j] = value
+        placed[i, j] = value
         if i != j:
-            grid[j][i] = value if form.epsilon == -1 else ring.neg(value)
-    return Matrix._raw(ring, tuple(map(tuple, grid)))
+            placed[j, i] = value if form.epsilon == -1 else ring.neg(value)
+    return Matrix._placed(ring, form.n, form.n, placed)
 
 
 def block_unipotent_witnesses(form: BilinearForm, g: Matrix, count: int) -> Iterator[BlockWitness]:

@@ -126,16 +126,29 @@ def test_verify_refuses_bad_list_entries(capsys, monkeypatch, argv, message):
     (("lemma-new", "--n", "2"), "need n >= 3"),
     (("lemma-new", "--n", "1"), "need n >= 3"),
     (("rigidity-empirical", "--ring", "Z/400", "--param", "finite_trials=1"), "the cap is"),
+    # each branch reads its own trial counts: a count for the other one used
+    # to be ignored, with exit 0
+    (("rigidity-empirical", "--ring", "Z/5", "--trials", "3"), "over Z/5 ignores trials"),
+    (("rigidity-empirical", "--ring", "Z/5", "--count", "3"), "over Z/5 ignores need"),
+    (("rigidity-empirical", "--param", "finite_trials=1"), "over Z ignores finite_trials"),
     (("abelian-s", "--param", "ns=2"), "ns must be list, got 2"),
     (("lemma-ke", "--param", "n=true"), "n must be int, got True"),
     (("lemma-ke", "--param", "trials=2.5"), "trials must be int, got 2.5"),
     (("lemma-ke", "--param", "trials=two"), "not a JSON literal"),
 ], ids=["new-unknown", "ke-unknown", "axioms-n", "abelian-trials", "new-n2", "new-n1",
-        "rigidity-cap", "int-for-list", "bool-for-int", "float-for-int", "not-json"])
+        "rigidity-cap", "rigidity-finite-trials-given", "rigidity-finite-need-given",
+        "rigidity-infinite-finite-trials-given", "int-for-list", "bool-for-int", "float-for-int",
+        "not-json"])
 def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2
     assert message in err and "pass" not in out
+
+
+def test_witness_refuses_linear_size_one(capsys):
+    # it used to fail on the identity of size 0 with "size must be positive"
+    code, out, err = run_cli(capsys, "witness", "--group", "en", "--n", "1")
+    _assert_refused(code, out, err, "shears need size at least 2")
 
 
 @pytest.mark.parametrize("suite", ["transvections", "t-a-witnesses"])

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,6 @@ from rigidlin import (
     IntegerPolynomials,
     Matrix,
     Modular,
-    PreparedConjugator,
     StabilizerContext,
     UnsupportedRingError,
     parse_matrix,
@@ -72,6 +72,21 @@ def test_rigidity_enumeration_cap():
     assert run_suite("rigidity-empirical", Modular(20), {"finite_trials": 1}).verdict == "pass"
     with pytest.raises(ValueError, match="the cap is"):
         run_suite("rigidity-empirical", Modular(21), {"finite_trials": 1})
+
+
+@pytest.mark.parametrize("ring_text, params, ignored", [
+    ("Z/5", {"trials": 3}, "trials"),
+    ("Z/5", {"need": 4, "trials": 3}, "need, trials"),
+    ("Z", {"finite_trials": 1}, "finite_trials"),
+    ("Z[x]", {"finite_trials": 1, "need": 3}, "finite_trials"),
+])
+def test_rigidity_refuses_parameters_of_the_other_branch(monkeypatch, ring_text, params, ignored):
+    def no_trial(*args):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(rigidlin.suites, "_rng", no_trial)
+    with pytest.raises(ValueError, match=f"over {re.escape(ring_text)} ignores {ignored}:"):
+        run_suite("rigidity-empirical", ring_from_text(ring_text), params)
 
 
 def test_rigidity_infinite_ring():
@@ -255,7 +270,7 @@ FAILING_CASES = {
     "rigidity-two-solutions": ("rigidity-empirical", Z, PINNED_PARAMS["rigidity-empirical"],
                                "solution_stream", _two_solutions),
     "rigidity-two-solutions-finite": ("rigidity-empirical", Modular(5),
-                                      PINNED_PARAMS["rigidity-empirical"],
+                                      {"finite_trials": 40, "seed": 3},
                                       "solution_stream", _two_solutions),
     "lemma-ke-repeated": ("lemma-ke", Z, PINNED_PARAMS["lemma-ke"], "intersection_witnesses",
                           _repeating_first(rigidlin.witnesses.intersection_witnesses)),
@@ -271,6 +286,9 @@ FAILING_CASES = {
 # suites ran on one per-run checker.  snf-one-row was re-pinned when the
 # echelon's Euclid sweep moved to nearest quotients: its samples print the
 # Smith transforms U and V, which that rule changes (D does not move).
+# rigidity-two-solutions-finite was re-pinned when rigidity-empirical began
+# to refuse trials and need over a finite ring: it gives finite_trials, and
+# only the defaults recorded in its params moved, not its failures.
 PINNED_FAILING_REPORTS = {
     "forms-always-preserved": "bd174024c08d8217f77c3b8aa819f9dfd677dc8d4ea682dca61d01e941aad5d9",
     "forms-never-preserved": "eacea5bf933a9ca8ca71feca02af9fa7a7129af610f4f156d71a34db24da2989",
@@ -278,7 +296,7 @@ PINNED_FAILING_REPORTS = {
     "lemma-ke-repeated": "ebb819f2b65f8ec3f921db7bcd9e8460c0edab4d8dc14394bc67d16b16fdad71",
     "rigidity-two-solutions": "4918c7260de76c900ee283ebc6bf6cc49b231d5194f5d360af0a334de03f962d",
     "rigidity-two-solutions-finite":
-        "2d7d7ec1db581ec664aece024837ec9307b62e3f9c998cf2c9d9e7c0e2feba9f",
+        "3f233a675439931ec4c1a4616b0ddb0e58deb9a4aa86eff684885f87fc4227a5",
     "ring-axioms-skew": "e5401048fbe8c88d9c42821242f277302a2d52e87d989dfa4aaa87f2a059a113",
     "snf-one-row": "08d6da0e70ea1d33cc9239055bcca82362d6f547b01381f4b1746674bedc3f0d",
     "t-a-repeated": "d51fa07b66fb1d3892b0585735f19769077bc0185453b51f54638a083c92e77e",
@@ -318,21 +336,20 @@ def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
     assert report.samples == []
 
 
-class _ConjugatorWithWrongLowerColumns(PreparedConjugator):
-    """A prepared conjugator whose lower columns, from which conjugated
-    functionals are computed, have one added to each entry of its matrix's:
-    the block no longer fixes the images' tails."""
+_real_lower_columns = rigidlin.witnesses._lower_columns
 
-    def __init__(self, ctx, q):
-        super().__init__(ctx, q)
-        one = ctx.ring.one
-        self.lower_columns = tuple(tuple(ctx.ring.add(c, one) for c in col)
-                                   for col in self.lower_columns)
+
+def _wrong_lower_columns(q):
+    """The columns of q's lower block, from which conjugated functionals
+    are computed, with one added to each entry: the block they read no
+    longer fixes the images' tails, while q itself passes every check."""
+    ring = q.ring
+    return tuple(tuple(ring.add(c, ring.one) for c in col) for col in _real_lower_columns(q))
 
 
 def test_broken_conjugate_is_a_reported_failure(monkeypatch):
     # f' = f * (A + J) no longer annihilates the images that A fixes
-    monkeypatch.setattr(rigidlin.suites, "PreparedConjugator", _ConjugatorWithWrongLowerColumns)
+    monkeypatch.setattr(rigidlin.witnesses, "_lower_columns", _wrong_lower_columns)
     report = run_suite("lemma-new", Z,
                        {"n": 3, "trials": 2, "need": 4, "conjugators": 3, "seed": 1})
     assert report.verdict == "fail"
@@ -461,6 +478,42 @@ def test_broken_emitter_is_one_reported_failure_per_trial(monkeypatch, suite, ri
     assert all(f["expected"] == expected and "IdentityViolation" in f["got"]
                for f in report.failures)
     assert report.samples == []
+
+
+def _kernel_calls(ring, params):
+    """How many trials of a passing transvections run reach kernel_basis:
+    those whose constraint rows are not all zero."""
+    calls = []
+    real = rigidlin.suites.kernel_basis
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rigidlin.suites, "kernel_basis", counting)
+        assert run_suite("transvections", ring, dict(params)).verdict == "pass"
+    return len(calls)
+
+
+@pytest.mark.parametrize("ring, params, name, broken", [
+    (Z, {"ns": [2, 3], "trials": 8, "seed": 1}, "_echelon", _no_pivots),
+    (IntegerPolynomials(), {"ns": [2, 3], "trials": 8, "seed": 3}, "_minor",
+     _minor_negated_off_column_zero),
+], ids=["no-pivots", "minor-sign"])
+def test_failing_isotropic_pool_is_one_reported_failure_per_trial(monkeypatch, ring, params,
+                                                                  name, broken):
+    # the pool's kernel used to be built outside the checker, so its
+    # IdentityViolation escaped run_suite and no report was written
+    reached = _kernel_calls(ring, params)
+    monkeypatch.setattr(rigidlin.normal_forms, name, broken)
+    report = run_suite("transvections", ring, dict(params))
+    assert report.verdict == "fail"
+    assert 0 < len(report.failures) <= reached < report.trials
+    if name == "_echelon":  # no pivots break every kernel, a flipped minor sign only some
+        assert len(report.failures) == reached
+    assert all(f["expected"] == "isotropic pool" and "IdentityViolation" in f["got"]
+               for f in report.failures)
 
 
 @pytest.mark.parametrize("suite, params", [

@@ -14,7 +14,6 @@ from rigidlin import (
     Matrix,
     Modular,
     NotInvertibleError,
-    PreparedConjugator,
     PrimeFieldPolynomials,
     ShearWitness,
     StabilizerContext,
@@ -125,12 +124,11 @@ def test_intersection_witnesses_finite_ring():
 def test_conjugate_by_identity_and_row_shears():
     ctx = StabilizerContext(Z, 4, ())
     witness = build_shear(Z, 4, (1, 2, 3))
-    identity = PreparedConjugator(ctx, Matrix.identity(Z, 4))
-    [result] = conjugate_by_stabilizer([witness], identity)
+    [result] = conjugate_by_stabilizer(ctx, Matrix.identity(Z, 4), [witness])
     assert result.functional == (1, 2, 3)
     # a pure row shear (lower block identity) leaves the functional alone
-    q = PreparedConjugator(ctx, build_shear(Z, 4, (7, -1, 0)).matrix)
-    [result] = conjugate_by_stabilizer([witness], q)
+    q = build_shear(Z, 4, (7, -1, 0)).matrix
+    [result] = conjugate_by_stabilizer(ctx, q, [witness])
     assert result.functional == (1, 2, 3)
 
 
@@ -139,7 +137,7 @@ def test_conjugate_by_block_embedding():
     q = parse_matrix(Z, "1,0,0;0,0,1;0,-1,0")  # A = (0, 1; -1, 0)
     ctx = StabilizerContext(Z, 3, ())
     witness = build_shear(Z, 3, (2, 5))
-    [result] = conjugate_by_stabilizer([witness], PreparedConjugator(ctx, q))
+    [result] = conjugate_by_stabilizer(ctx, q, [witness])
     assert result.functional == (-5, 2)  # (2,5) @ [[0,1],[-1,0]]
     assert result.matrix == q.inverse() @ witness.matrix @ q
 
@@ -149,19 +147,19 @@ def test_conjugate_respects_context_constraints():
     witness = next(iter(intersection_witnesses(ctx, 1)))
     # a conjugator that moves the image is rejected as input error
     with pytest.raises(ValueError):
-        PreparedConjugator(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"))
+        list(conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), [witness]))
     # one that fixes it is accepted and the new functional annihilates it
-    good = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
-    [result] = conjugate_by_stabilizer([witness], good)
+    good = parse_matrix(Z, "1,0,4;0,1,7;0,0,1")
+    [result] = conjugate_by_stabilizer(ctx, good, [witness])
     assert sum(x * u for x, u in zip(result.functional, (1, 0))) == 0
 
 
 def test_conjugate_rejects_non_stabilizer():
     ctx = StabilizerContext(Z, 3, ())
     with pytest.raises(ValueError):
-        PreparedConjugator(ctx, elementary_matrix(Z, 3, 2, 1, 1))
+        list(conjugate_by_stabilizer(ctx, elementary_matrix(Z, 3, 2, 1, 1), []))
     with pytest.raises(ValueError):
-        PreparedConjugator(ctx, parse_matrix(Z, "1,0,0;0,2,0;0,0,1"))  # determinant 2
+        list(conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,0;0,2,0;0,0,1"), []))  # det 2
 
 
 def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
@@ -171,12 +169,12 @@ def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
     outsider = build_shear(Z, 3, (1, 0))
     member = build_shear(Z, 3, (0, 1))
     for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
-        stream = conjugate_by_stabilizer([member, outsider, member], PreparedConjugator(ctx, q))
+        stream = conjugate_by_stabilizer(ctx, q, [member, outsider, member])
         with pytest.raises(IdentityViolation, match="does not annihilate an image"):
             next(stream)  # no member of the batch is yielded first
 
 
-def test_prepared_conjugator_rejects_bad_input():
+def test_conjugator_is_checked_where_it_enters():
     # one conjugator moving e1 to the image (1, 1, 0)
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
     cases = (
@@ -186,19 +184,19 @@ def test_prepared_conjugator_rejects_bad_input():
         (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix"),  # det 1, moves the image
     )
     for q, message in cases:
+        # refused even with an empty batch: q is checked before the shears
         with pytest.raises(ValueError, match=message):
-            PreparedConjugator(ctx, q)
+            list(conjugate_by_stabilizer(ctx, q, []))
     # a shear of another size is refused
-    prepared = PreparedConjugator(ctx, Matrix.identity(Z, 3))
     with pytest.raises(ValueError, match="length"):
-        list(conjugate_by_stabilizer([build_shear(Z, 4, (0, 0, 1))], prepared))
+        list(conjugate_by_stabilizer(ctx, Matrix.identity(Z, 3), [build_shear(Z, 4, (0, 0, 1))]))
 
 
 def test_conjugate_an_empty_batch_yields_nothing():
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    prepared = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
-    assert list(conjugate_by_stabilizer([], prepared)) == []
-    assert list(conjugate_by_stabilizer(iter(()), prepared)) == []
+    q = parse_matrix(Z, "1,0,4;0,1,7;0,0,1")
+    assert list(conjugate_by_stabilizer(ctx, q, [])) == []
+    assert list(conjugate_by_stabilizer(ctx, q, iter(()))) == []
 
 
 @pytest.mark.parametrize("bad, message", [(build_shear(Z, 4, (0, 0, 1)), "length"),
@@ -208,10 +206,9 @@ def test_conjugate_an_empty_batch_yields_nothing():
 def test_conjugate_refuses_a_bad_shear_before_yielding(bad, message, position):
     # a shear over Z/7 used to come back silently as a shear over Z
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    prepared = PreparedConjugator(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"))
     batch = [build_shear(Z, 3, (0, c)) for c in range(4)]
     batch.insert(position, bad)
-    stream = conjugate_by_stabilizer(batch, prepared)
+    stream = conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"), batch)
     with pytest.raises(ValueError, match=message):
         next(stream)
 
@@ -236,9 +233,7 @@ def test_conjugate_matches_the_dense_product():
             functionals = [w.functional for w in witnesses[:3]]
             for _ in range(4):
                 q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
-                prepared = PreparedConjugator(ctx, q)
-                assert prepared.context is ctx and prepared.matrix is q
-                results = list(conjugate_by_stabilizer(witnesses, prepared))
+                results = list(conjugate_by_stabilizer(ctx, q, witnesses))
                 assert len(results) == len(witnesses)
                 q_inverse = q.inverse()
                 for w, result in zip(witnesses, results):
@@ -606,6 +601,8 @@ ORTHOGONAL_2 = form_matrix(Z, 2, "orthogonal")
                  "stabilizer check needs a square matrix", id="stabilizer-non-square"),
     pytest.param(lambda: build_shear(Z, 1, ()), ValueError,
                  "shears need size at least 2", id="shear-size"),
+    pytest.param(lambda: StabilizerContext(Z, 1), ValueError,
+                 "shears need size at least 2", id="context-size-1"),
     # <u, v> = 0 in both cases, and <w, w> = 2 for w = (1, 0, 1, 0) or (0, 1, 0, 1)
     pytest.param(lambda: transvection(ORTHOGONAL_2, (1, 0, 1, 0), (0, 1, 0, 0)), ValueError,
                  "transvection needs isotropic u and v", id="transvection-u-not-isotropic"),
