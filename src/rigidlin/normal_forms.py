@@ -29,19 +29,24 @@ pairwise-distinct solution streams by walking coefficient tuples in the
 ring's documented enumeration order.  Each identity is checked once,
 where it is emitted: A v = 0 on every kernel generator, and again on
 every vector a solution stream yields, since a stream of combinations
-is a separate emission.
+is a separate emission.  Both checks are ``_annihilator``'s exact
+predicate.  Over Z it checks each vector after the third with one sum of
+products against A's columns packed into integers (Kronecker
+substitution), in slots of s bits with every |(A v)_i| < 2^(s-1), so the
+packed sum is 0 exactly when A v = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import IdentityViolation, UnsupportedRingError
 from .matrix import Matrix, _augment, _elimination_ring, vec_is_zero
-from .rings import Modular, Ring
+from .rings import Integers, Modular, Ring
 
 
 @dataclass(frozen=True)
@@ -263,7 +268,9 @@ def kernel_basis(a: Matrix) -> KernelModule:
     Over Z[x], which has no echelon, the generators are signed maximal
     minors (``_minor_kernel``): a basis over the fraction field, whose
     span is a full-rank submodule of the kernel that may be proper.  Each
-    generator is checked once, A v = 0 over the ring of A.
+    generator is checked once, A v = 0 over the ring of A, by
+    ``_annihilator``: over Z the generators after the third are checked
+    by one packed product each, exact by the slot-width bound there.
     """
     ring = a.ring
     work = _elimination_ring(ring)
@@ -277,10 +284,65 @@ def kernel_basis(a: Matrix) -> KernelModule:
     else:
         gens = _minor_kernel(a)
     basis = tuple(v for v in dict.fromkeys(gens) if not vec_is_zero(ring, v))
+    annihilates = _annihilator(a)
     for vec in basis:
-        if not vec_is_zero(ring, a.apply(vec)):
+        if not annihilates(vec):
             raise IdentityViolation("kernel basis vector failed A v = 0")
     return KernelModule(ring, a.cols, basis)
+
+
+def _annihilator(a: Matrix):
+    """The exact predicate "A v = 0" on vectors of length A.cols (a
+    ValueError on any other length), for checking a run of vectors.
+
+    Over every ring but Z it is ``vec_is_zero(ring, a.apply(v))``, and so
+    it is over Z when A has one row, as ``apply`` is then one sum of
+    products already.  Otherwise the first three vectors are checked by
+    ``apply`` too: packing costs about two to three such checks, so a
+    short run, such as a kernel basis of up to three generators, packs
+    nothing, and a long one pays for the packing before it starts.  From
+    the fourth vector on, the columns of A are packed once (Kronecker
+    substitution) into P_j = sum_i A_ij 2^(s i), and the check is one sum,
+    sum_j v_j P_j = sum_i (A v)_i 2^(s i) == 0.  With R the largest row
+    1-norm of A, |(A v)_i| <= |v|_inf R; the slot width s is that bound's
+    bit length plus 2, rounded up to a multiple of 32 so that one packing
+    serves a whole stream, and the columns are packed again only when a
+    vector needs wider slots.
+
+    Exact: the packed sum has the balanced base-2^s digits d_i = (A v)_i,
+    |d_i| < 2^(s-1), and such digits are unique.  If some digit is nonzero,
+    the highest, at k, gives a term of size at least 2^(s k), while the
+    terms below it sum in size to at most (2^(s-1) - 1)(2^(s k) - 1) /
+    (2^s - 1) < 2^(s k); so the packed sum is 0 exactly when A v = 0.
+    """
+    ring = a.ring
+    if not isinstance(ring, Integers) or a.rows == 1:
+        return lambda vec: vec_is_zero(ring, a.apply(vec))
+    checked = bound = slot = 0
+    columns: list = []
+
+    def annihilates(vec) -> bool:
+        nonlocal checked, bound, slot, columns
+        checked += 1
+        if checked <= 3:
+            return vec_is_zero(ring, a.apply(vec))
+        if len(vec) != a.cols:
+            raise ValueError("vector length mismatch")
+        if not slot:
+            bound = max(sum(map(abs, row)) for row in a.entries)
+        need = (max(map(abs, vec)) * bound).bit_length() + 2
+        if need > slot:
+            slot = -(-need // 32) * 32
+            columns = _packed_columns(a.entries, slot)
+        return sum(map(operator.mul, vec, columns)) == 0
+
+    return annihilates
+
+
+def _packed_columns(rows, slot: int) -> list:
+    """Each column of the integer rows as the one integer sum_i x_i 2^(slot i)."""
+    shifts = range(0, slot * len(rows), slot)
+    return [sum(map(operator.lshift, col, shifts)) for col in zip(*rows)]
 
 
 def _minor(a: Matrix, rows: list, cols: list):
@@ -362,10 +424,14 @@ def combination_stream(kernel: KernelModule, count: int) -> Iterator[tuple]:
 def solution_stream(a: Matrix, count: int) -> Iterator[tuple]:
     """Pairwise-distinct nonzero solutions of A x = 0, each checked on emission.
 
-    The stream ends early only when the kernel is finite (finite ring or
-    trivial kernel)."""
+    Each vector is checked once by ``_annihilator``: over Z, after the
+    third, by one exact sum against A's columns packed into slots wide
+    enough for every (A v)_i, packed once per stream and again only when a
+    vector outgrows the slots.  The stream ends early only when the kernel
+    is finite (finite ring or trivial kernel)."""
+    annihilates = _annihilator(a)
     for vec in combination_stream(kernel_basis(a), count):
-        if not vec_is_zero(a.ring, a.apply(vec)):
+        if not annihilates(vec):
             raise IdentityViolation("streamed solution failed A v = 0")
         yield vec
 

@@ -659,6 +659,126 @@ def test_streams_check_each_emitted_vector(monkeypatch):
         list(solution_stream(parse_matrix(IntegerPolynomials(), "x+1,2*x"), 3))
 
 
+# Over Z, for A of more than one row, the first three vectors of a run are
+# checked by ``apply`` and every later one by the packed product, so these
+# corrupt the fourth vector and those after it.  Both matrices have four
+# kernel generators.  The first three columns of SHEARED are e1, e2, e3: a
+# unit error in coordinate 0 (2) of v is an error in the first (last)
+# coordinate of A v alone.  On CARRY a unit error in coordinate 0 of a
+# vector of zeros and units makes A v = (2^64, -1), which a slot exactly 64
+# bits wide would sum to 0.
+SHEARED = "1,0,0,2,-3,1,4;0,1,0,4,5,-2,3;0,0,1,-6,7,5,-1"
+CARRY = f"{2**64},0,0,0,0;-1,0,0,0,0"
+CORRUPTIONS = pytest.mark.parametrize("text, coord, delta", [
+    (SHEARED, 0, 1), (SHEARED, 2, -1), (SHEARED, 3, 2**200), (SHEARED, 4, -2**200), (CARRY, 0, 1),
+], ids=["first-coordinate", "last-coordinate", "plus-2^200", "minus-2^200", "carry"])
+
+
+def _corrupted(vec, coord, delta):
+    return vec[:coord] + (vec[coord] + delta,) + vec[coord + 1:]
+
+
+@CORRUPTIONS
+def test_streams_check_each_packed_vector(monkeypatch, text, coord, delta):
+    def corrupt_after_third(kernel, count):
+        for k, v in enumerate(_combination_stream(kernel, count)):
+            yield _corrupted(v, coord, delta) if k >= 3 else v
+
+    monkeypatch.setattr(rigidlin.normal_forms, "combination_stream", corrupt_after_third)
+    stream = solution_stream(parse_matrix(Z, text), 6)
+    for _ in range(3):
+        next(stream)
+    with pytest.raises(IdentityViolation, match="streamed solution failed A v = 0"):
+        next(stream)
+
+
+_real_echelon = rigidlin.normal_forms._echelon
+
+
+@CORRUPTIONS
+def test_kernel_basis_checks_the_fourth_generator_packed(monkeypatch, text, coord, delta):
+    def corrupt_fourth_generator(ring, rows, width):
+        pivots = _real_echelon(ring, rows, width)
+        rows[len(pivots) + 3][width + coord] += delta
+        return pivots
+
+    a = parse_matrix(Z, text)
+    assert len(kernel_basis(a).basis) == 4
+    monkeypatch.setattr(rigidlin.normal_forms, "_echelon", corrupt_fourth_generator)
+    with pytest.raises(IdentityViolation, match="kernel basis vector failed A v = 0"):
+        kernel_basis(a)
+
+
+def test_packed_check_reads_no_false_zero_through_a_carry():
+    # A v = (2^k, -1): a slot exactly k bits wide would sum it to 0
+    for k in range(1, 201):
+        annihilates = rigidlin.normal_forms._annihilator(Matrix(Z, [[2**k], [-1]]))
+        for _ in range(3):
+            assert not annihilates((1,)), k  # by apply
+        assert not annihilates((1,)), k  # packed
+
+
+@pytest.mark.parametrize("vec", [(1, 0), (0, 1)], ids=["first-row", "last-row"])
+def test_packed_check_sees_each_end_of_a_v(vec):
+    a = Matrix(Z, [[1, 0], [0, 0], [0, 1]])
+    annihilates = rigidlin.normal_forms._annihilator(a)
+    for _ in range(3):
+        assert annihilates((0, 0))
+    assert not annihilates(vec)
+    assert annihilates((0, 0))
+
+
+def test_packed_check_refuses_a_vector_of_another_length():
+    annihilates = rigidlin.normal_forms._annihilator(parse_matrix(Z, "1,2;3,4"))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        annihilates((1, 2, 3))
+    for _ in range(3):
+        assert annihilates((0, 0))
+    for vec in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            annihilates(vec)
+
+
+# SHA-256 of format_vector over each streamed vector, one per line, recorded
+# while every vector was still checked by ``Matrix.apply``.
+PINNED_STREAMS = {
+    "32x36": "d2c93225cd7a2c6d54940f52379d2467c0e4b46c4b0ec9f1e4214c9bb0f65b4b",
+    "repack": "87d816c05245ce911b1eaa22d4bdec76abe7d1a18ec434d5bc32e215cb71e6a5",
+}
+
+
+def _stream_digest(a, count):
+    vecs = list(solution_stream(a, count))
+    assert len(vecs) == count
+    return hashlib.sha256("\n".join(format_vector(Z, v) for v in vecs).encode()).hexdigest()
+
+
+def test_packed_stream_matches_pinned_digest():
+    rng = random.Random("packed-check:32x36")
+    a = Matrix(Z, [[rng.randint(-9, 9) for _ in range(36)] for _ in range(32)])
+    assert _stream_digest(a, 200) == PINNED_STREAMS["32x36"]
+
+
+def test_packed_stream_repacks_as_its_vectors_grow(monkeypatch):
+    # the multiples c (2^29 - 1, -2^29) for c = 1, -1, 2, ..., 10, packed
+    # from c = -2 on: |v| R passes 2^62 at c = 8, so the slots widen from 64
+    # to 96 bits.  Without
+    # its second row, A v is one sum of products and nothing is packed.
+    widths = []
+    real = rigidlin.normal_forms._packed_columns
+
+    def spy(rows, slot):
+        widths.append(slot)
+        return real(rows, slot)
+
+    monkeypatch.setattr(rigidlin.normal_forms, "_packed_columns", spy)
+    a = Matrix(Z, [[2**29, 2**29 - 1], [-2**29, 1 - 2**29]])
+    assert _stream_digest(a, 20) == PINNED_STREAMS["repack"]
+    assert widths == [64, 96]
+    assert _stream_digest(Matrix(Z, a.entries[:1]), 20) == PINNED_STREAMS["repack"]
+    assert widths == [64, 96]
+
+
 def test_in_row_span():
     assert in_row_span(Z, [(2, 0), (0, 3)], (4, 9))
     assert not in_row_span(Z, [(2, 0), (0, 3)], (1, 0))

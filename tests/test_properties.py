@@ -1,7 +1,8 @@
 """Property tests of the Hermite, Smith and kernel contracts over Z and
-Fp[x]/5, on matrices of up to 5 x 6 with small entries, and of the kernel
+Fp[x]/5, on matrices of up to 5 x 6 with small entries, of the kernel
 contract over Z[x], on matrices of up to 3 x 4 with entries of degree at
-most 2.  The examples are derandomized and their number is fixed, so every
+most 2, and of the packed A v = 0 check over Z against ``Matrix.apply``,
+on matrices of up to 6 x 8 with entries up to 2^130.  The examples are derandomized and their number is fixed, so every
 run checks the same matrices; a failure is shrunk and prints the matrix it
 drew."""
 
@@ -15,7 +16,10 @@ from rigidlin import (
     hermite_normal_form,
     kernel_basis,
     smith_normal_form,
+    solution_stream,
 )
+from rigidlin.matrix import vec_is_zero
+from rigidlin.normal_forms import _annihilator
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -132,3 +136,39 @@ def test_kernel_contract_over_integer_polynomials(data):
             for r in a.entries]
     rank = DomainMatrix(grid, (a.rows, a.cols), domain).to_field().rank()
     assert len(basis) == a.cols - rank
+
+
+BIG = st.integers(-2**130, 2**130)
+
+
+@CONTRACT
+@given(data=st.data())
+def test_packed_check_agrees_with_apply(data):
+    rows = data.draw(st.integers(1, 6), label="rows")
+    cols = data.draw(st.integers(1, 8), label="cols")
+    entries = st.one_of(st.just(0), st.integers(-9, 9), BIG)
+    grid = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                              min_size=rows, max_size=rows), label="A")
+    zero_row = data.draw(st.none() | st.integers(0, rows - 1), label="zero row")
+    zero_col = data.draw(st.none() | st.integers(0, cols - 1), label="zero column")
+    grid = [[0 if i == zero_row or j == zero_col else x for j, x in enumerate(r)]
+            for i, r in enumerate(grid)]
+    a = Matrix(Z, grid)
+    solutions = list(solution_stream(a, 6))
+    zero = (0,) * cols
+    perturbed = []
+    for vec in solutions + [zero]:
+        k = data.draw(st.integers(0, cols - 1), label="coordinate")
+        delta = data.draw(BIG.filter(bool), label="delta")
+        perturbed.append(vec[:k] + (vec[k] + delta,) + vec[k + 1:])
+    vectors = solutions + perturbed
+    shared = _annihilator(a)
+    for _ in range(3):  # checked by apply; later calls are packed if rows > 1
+        shared(zero)
+    for vec in vectors:
+        expected = vec_is_zero(Z, a.apply(vec))
+        fresh = _annihilator(a)
+        for _ in range(3):
+            fresh(zero)
+        assert fresh(vec) is expected
+        assert shared(vec) is expected
