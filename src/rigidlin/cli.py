@@ -8,20 +8,22 @@ the ``e(i,j,r);rl(i,a);rs(i,j,a)`` token grammar, rings the descriptors
 Exit codes: 0 when the requested check passes, 1 when a suite reports a
 failure or a verified identity fails, 2 on usage errors (bad literals,
 unsupported rings, unknown suites, parameters a suite does not take,
-that are out of range or that the ring's branch of the suite ignores,
-enumerations above their cap, ``--seed`` outside ``verify``, ``--count``
-below 1, ``witness --group en`` below size 2).
+that are out of range, that are given twice or that the ring's branch of
+the suite ignores, enumerations above their cap, ``--seed`` outside
+``verify``, ``--count`` below 1, ``witness --group en`` below size 2,
+an ``--out`` path that cannot be written).  ``--group`` takes a word
+kind of ``groups.WORD_KINDS``, which also names the form that
+``witness`` and ``eval-word`` use for it.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 
 from .errors import IdentityViolation, ParseError, UnsupportedRingError
-from .groups import form_matrix, format_word, parse_word, preserves_form
+from .groups import WORD_KINDS, form_matrix, format_word, parse_word, preserves_form
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix
 from .normal_forms import smith_normal_form, kernel_basis, solution_stream
 from .rings import ring_from_text
@@ -58,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="parameter override with a JSON value, e.g. trials=5 or ns=[2,4] (repeatable)",
     )
-    verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    verify.add_argument("--seed", type=int, help="seed for randomized suites")
     _add_common(verify)
 
     kernel = commands.add_parser("kernel", help="kernel basis and solution stream")
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(snf)
 
     witness = commands.add_parser("witness", help="verified stabilizer-intersection witnesses")
-    witness.add_argument("--group", choices=("en", "esp", "eo"), default="en")
+    witness.add_argument("--group", choices=WORD_KINDS, default="en")
     witness.add_argument("--n", type=int, required=True,
                          help="matrix size for en, half-rank for esp/eo")
     witness.add_argument(
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(witness)
 
     evalw = commands.add_parser("eval-word", help="evaluate a generator word")
-    evalw.add_argument("--group", choices=("en", "esp", "eo"), default="en")
+    evalw.add_argument("--group", choices=WORD_KINDS, default="en")
     evalw.add_argument("--n", type=int, required=True)
     evalw.add_argument("--word", required=True)
     _add_common(evalw)
@@ -95,8 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(args, payload: dict, human: str | None = None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
     if args.json or human is None:
         print(text)
     else:
@@ -105,21 +110,21 @@ def _emit(args, payload: dict, human: str | None = None) -> None:
 
 def _cmd_verify(args) -> int:
     ring = ring_from_text(args.ring)
-    params: dict = {"seed": args.seed}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.trials is not None:
-        params["trials"] = args.trials
-    if args.count is not None:
-        params["need"] = args.count
+    flags = {"seed": args.seed, "n": args.n, "trials": args.trials, "need": args.count}
+    given = [(key, value) for key, value in flags.items() if value is not None]
     for item in args.param:
         key, _, value = item.partition("=")
         if not key or not value:
             raise ParseError(f"bad --param {item!r}, expected KEY=VALUE")
         try:
-            params[key] = json.loads(value)
+            given.append((key, json.loads(value)))
         except json.JSONDecodeError:
             raise ParseError(f"bad --param {item!r}, the value is not a JSON literal") from None
+    params: dict = {}
+    for key, value in given:
+        if key in params:
+            raise ParseError(f"parameter {key} is given twice")
+        params[key] = value
     report = run_suite(args.suite, ring, params)
     human = (
         f"suite {report.suite} over {report.ring}: {report.verdict} "
@@ -140,7 +145,7 @@ def _cmd_kernel(args) -> int:
     ring = ring_from_text(args.ring)
     matrix = parse_matrix(ring, args.matrix)
     kernel = kernel_basis(matrix)
-    sample = list(itertools.islice(solution_stream(matrix, args.count), args.count))
+    sample = list(solution_stream(matrix, args.count))
     payload = {
         "ring": ring.descriptor,
         "matrix": format_matrix(matrix),
@@ -173,30 +178,21 @@ def _cmd_witness(args) -> int:
     words = [parse_word(ring, args.group, args.n, text) for text in word_texts]
     if args.group == "en":
         ctx = StabilizerContext(ring, args.n, tuple(w.evaluate() for w in words))
-        found = list(itertools.islice(intersection_witnesses(ctx, args.count), args.count))
-        payload = {
-            "ring": ring.descriptor,
-            "group": args.group,
-            "n": args.n,
-            "conjugators": [format_word(w) for w in words],
-            "u_vectors": [format_vector(ring, u) for u in ctx.projected_images],
-            "witnesses": [format_matrix(w.matrix) for w in found],
-        }
-        _emit(args, payload)
-        return 0
-    if len(words) > 1:
-        raise ParseError("esp/eo witnesses take at most one conjugator word (the element g)")
-    kind = "symplectic" if args.group == "esp" else "orthogonal"
-    form = form_matrix(ring, args.n, kind)
-    g = words[0].evaluate() if words else Matrix.identity(ring, 2 * args.n)
-    found = list(itertools.islice(
-        block_unipotent_witnesses(form, g, args.count), args.count))
+        found = list(intersection_witnesses(ctx, args.count))
+        u_vectors = ctx.projected_images
+    else:
+        if len(words) > 1:
+            raise ParseError("esp/eo witnesses take at most one conjugator word (the element g)")
+        form = form_matrix(ring, args.n, WORD_KINDS[args.group][0])
+        g = words[0].evaluate() if words else Matrix.identity(ring, 2 * args.n)
+        found = list(block_unipotent_witnesses(form, g, args.count))
+        u_vectors = [g.column(0)] if words else []
     payload = {
         "ring": ring.descriptor,
         "group": args.group,
         "n": args.n,
         "conjugators": [format_word(w) for w in words],
-        "u_vectors": [format_vector(ring, g.column(0))] if words else [],
+        "u_vectors": [format_vector(ring, u) for u in u_vectors],
         "witnesses": [format_matrix(w.matrix) for w in found],
     }
     _emit(args, payload)
@@ -215,8 +211,8 @@ def _cmd_eval_word(args) -> int:
         "matrix": format_matrix(matrix),
         "det": ring.format(matrix.det()),
     }
-    if args.group in ("esp", "eo"):
-        kind = "symplectic" if args.group == "esp" else "orthogonal"
+    kind = WORD_KINDS[args.group][0]
+    if kind:
         payload["preserves_form"] = preserves_form(matrix, form_matrix(ring, args.n, kind))
     _emit(args, payload, format_matrix(matrix))
     return 0

@@ -8,13 +8,17 @@ doubled setting of size 2n the involution ``sigma`` swaps k and k+n; a
 only on the symplectic side, while a "short root" generator touches the
 pair (i, j) and (sigma j, sigma i) with a mirrored parameter.
 
+One table, ``_entries``, holds these rules: which generators each group
+has and which entries each adds to the identity.  The dense generators
+place its entries; a ``GeneratorWord`` checks each token through it once,
+at construction, and keeps the entries, so ``evaluate`` only applies them
+as column operations on the identity, one ``Ring.axpy`` per entry.
+``WORD_KINDS`` maps each word kind to the form its group preserves.
+
 Group membership is carried constructively: elements are generator words
 and matrices are checked only against the invariants (determinant, form
-preservation), never against an abstract membership predicate.  A word is
-evaluated by column operations on the identity, one ``Ring.axpy`` per
-off-diagonal entry of each generator, without building the generators'
-matrices.  The forms act through ``BilinearForm.covector``, a signed swap
-of the two blocks.
+preservation), never against an abstract membership predicate.  The forms
+act through ``BilinearForm.covector``, a signed swap of the two blocks.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from .errors import ParseError
 from .matrix import Matrix, vec_dot, vec_neg
 from .rings import Ring
 
-WORD_KINDS = ("en", "esp", "eo")
+# Each word kind: the form kind its group preserves and that form's epsilon
+# (gram [[0, I], [epsilon I, 0]]); the linear group "en" preserves none.
+WORD_KINDS = {"en": (None, 0), "esp": ("symplectic", -1), "eo": ("orthogonal", 1)}
+FORM_KINDS = {form: (word, eps) for word, (form, eps) in WORD_KINDS.items() if form}
 
 
 def sigma_index(n: int, k: int) -> int:
@@ -36,43 +43,59 @@ def sigma_index(n: int, k: int) -> int:
     return k + n if k <= n else k - n
 
 
+def _entries(ring: Ring, epsilon: int, n: int, tag: str, i: int, j: int | None, a,
+             exponent: int = 1) -> dict:
+    """The off-diagonal entries {(row, col): x}, 0-based, that the generator
+    ``tag``(i, j, a), or its inverse for exponent -1, adds to the identity
+    in the group of this epsilon (0 for E_n, -1 for ESp_2n, +1 for
+    EO(n,n)); ValueError if the group has no such generator.
+
+    ``e``(i, j, r) puts r at (i, j) of an n x n matrix.  In size 2n, with
+    s = sigma_index, the long root ``rl``(i, a) puts a at (i, s(i)) and
+    exists only in the symplectic group; the short root ``rs``(i, j, a),
+    j not in {i, s(i)}, puts a at (i, j) and -a' at (s(j), s(i)), where
+    a' = a when both or neither index is in the first block, and a' = a
+    scaled by epsilon when exactly one is.  Each generator's inverse is
+    the generator of -a.
+    """
+    if exponent not in (1, -1):
+        raise ValueError("token exponent must be +1 or -1")
+    if tag not in (("rl", "rs") if epsilon else ("e",)):
+        group = "unitary" if epsilon else "linear-group"
+        raise ValueError(f"token {tag!r} is not a {group} generator")
+    size = 2 * n if epsilon else n
+    if tag == "rl":
+        if epsilon != -1:
+            raise ValueError("long-root generators exist only in the symplectic group")
+        j = sigma_index(n, i)
+    elif not (1 <= i <= size and 1 <= j <= size):
+        raise ValueError(f"indices ({i}, {j}) out of range 1..{size}")
+    elif i == j:
+        raise ValueError("off-diagonal position required (i != j)")
+    a = ring.check(a) if exponent == 1 else ring.neg(ring.check(a))
+    if tag != "rs":
+        return {(i - 1, j - 1): a}
+    si, sj = sigma_index(n, i), sigma_index(n, j)
+    if j == si:
+        raise ValueError("short-root indices must satisfy j not in {i, sigma i}")
+    mirrored = a if epsilon == -1 and (i <= n) != (j <= n) else ring.neg(a)  # -a'
+    return {(i - 1, j - 1): a, (sj - 1, si - 1): mirrored}
+
+
 def elementary_matrix(ring: Ring, n: int, i: int, j: int, r) -> Matrix:
     """Identity plus r in the (i, j) position (1-based), i != j."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{n}")
-    if i == j:
-        raise ValueError("off-diagonal position required (i != j)")
-    ring.check(r)
-    return Matrix._placed(ring, n, n, {(i - 1, j - 1): r}, ring.one)
+    return Matrix._placed(ring, n, n, _entries(ring, 0, n, "e", i, j, r), ring.one)
 
 
 def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Matrix:
     """Generator of the elementary symplectic (epsilon = -1) or elementary
-    orthogonal (epsilon = +1) group of size 2n.
-
-    With s = sigma_index: the long root (j = s(i)) is identity plus a in
-    position (i, s(i)) and is admissible only for epsilon = -1.  The short
-    root is identity plus a in (i, j) and minus a' in (s(j), s(i)), where
-    a' = a when both or neither index is in the first block, and a' = a
-    scaled by epsilon when exactly one is.
-    """
+    orthogonal (epsilon = +1) group of size 2n: the long root ``rl``(i, a)
+    when j = sigma_index(n, i), else the short root ``rs``(i, j, a), with
+    the entries of ``_entries``."""
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
-    size = 2 * n
-    if not (1 <= i <= size and 1 <= j <= size):
-        raise ValueError(f"indices ({i}, {j}) out of range 1..{size}")
-    if i == j:
-        raise ValueError("off-diagonal position required (i != j)")
-    ring.check(a)
-    si = sigma_index(n, i)
-    sj = sigma_index(n, j)
-    if j == si and epsilon != -1:
-        raise ValueError("the (i, sigma i) generator exists only in the symplectic group")
-    placed = {(i - 1, j - 1): a}
-    if j != si:
-        mirrored = a if epsilon == 1 or (i <= n) == (j <= n) else ring.neg(a)
-        placed[sj - 1, si - 1] = ring.neg(mirrored)
-    return Matrix._placed(ring, size, size, placed, ring.one)
+    tag = "rl" if 1 <= i <= 2 * n and j == sigma_index(n, i) else "rs"
+    return Matrix._placed(ring, 2 * n, 2 * n, _entries(ring, epsilon, n, tag, i, j, a), ring.one)
 
 
 @dataclass(frozen=True)
@@ -109,12 +132,13 @@ class BilinearForm:
 def form_matrix(ring: Ring, n: int, kind: str) -> BilinearForm:
     if n < 1:
         raise ValueError("half-rank must be positive")
-    if kind not in ("symplectic", "orthogonal"):
+    if kind not in FORM_KINDS:
         raise ValueError(f"unknown form kind {kind!r}")
-    lower = ring.neg(ring.one) if kind == "symplectic" else ring.one
+    epsilon = FORM_KINDS[kind][1]
+    lower = ring.neg(ring.one) if epsilon == -1 else ring.one
     gram = Matrix._placed(ring, 2 * n, 2 * n, {**{(k, n + k): ring.one for k in range(n)},
                                                **{(n + k, k): lower for k in range(n)}})
-    return BilinearForm(kind, n, gram, -1 if kind == "symplectic" else 1)
+    return BilinearForm(kind, n, gram, epsilon)
 
 
 def preserves_form(m: Matrix, form: BilinearForm) -> bool:
@@ -147,62 +171,36 @@ class GeneratorWord:
     kind: str  # "en" | "esp" | "eo"
     n: int  # matrix size for en; half-rank for esp/eo
     tokens: tuple[WordToken, ...] = field(default_factory=tuple)
+    # ((row, col), q) for each entry x of each token, q = -x: the entries
+    # of the token's inverse
+    _ops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Check each token once, through ``_entries``, and keep its entries."""
         if self.kind not in WORD_KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
-        for tok in self.tokens:
-            self._validate(tok)
-
-    def _validate(self, tok: WordToken):
-        if tok.exponent not in (1, -1):
-            raise ValueError("token exponent must be +1 or -1")
-        if self.kind == "en":
-            if tok.tag != "e":
-                raise ValueError(f"token {tok.tag!r} is not a linear-group generator")
-            if not (1 <= tok.i <= self.n and 1 <= tok.j <= self.n) or tok.i == tok.j:
-                raise ValueError(f"bad indices ({tok.i}, {tok.j}) for size {self.n}")
-        else:
-            size = 2 * self.n
-            if tok.tag == "rl":
-                if self.kind != "esp":
-                    raise ValueError("long-root generators exist only in the symplectic group")
-                if not 1 <= tok.i <= size:
-                    raise ValueError(f"bad index {tok.i} for size {size}")
-            elif tok.tag == "rs":
-                if not (1 <= tok.i <= size and 1 <= tok.j <= size):
-                    raise ValueError(f"bad indices ({tok.i}, {tok.j}) for size {size}")
-                if tok.i == tok.j or tok.j == sigma_index(self.n, tok.i):
-                    raise ValueError("short-root indices must satisfy j not in {i, sigma i}")
-            else:
-                raise ValueError(f"token {tok.tag!r} is not a unitary generator")
-        self.ring.check(tok.param)
+        ring, eps, n, ops = self.ring, self.epsilon, self.n, []
+        for t in self.tokens:
+            ops.extend(_entries(ring, eps, n, t.tag, t.i, t.j, t.param, -t.exponent).items())
+        object.__setattr__(self, "_ops", tuple(ops))
 
     @property
     def matrix_size(self) -> int:
-        return self.n if self.kind == "en" else 2 * self.n
+        return 2 * self.n if self.epsilon else self.n
 
     @property
     def epsilon(self) -> int:
-        return {"esp": -1, "eo": 1}.get(self.kind, 0)
+        return WORD_KINDS[self.kind][1]
 
     def evaluate(self) -> Matrix:
         """The product of the tokens, left to right, by column operations on
-        the identity: right multiplication by I + r*E_ij adds r times column
-        i to column j, and a short root's mirrored entry -a' (a' as in
-        ``unitary_generator``) adds -a' times column sigma j to column
-        sigma i, a disjoint pair.  The tokens were checked at construction."""
-        ring, n, eps = self.ring, self.n, self.epsilon
+        the identity: right multiplication by I + x*E_rc adds x times column
+        r to column c, i.e. ``axpy`` with q = -x.  A short root's two entries
+        lie in disjoint columns and rows, so they apply one after the other."""
+        ring = self.ring
         cols = list(Matrix.identity(ring, self.matrix_size).entries)  # symmetric: rows are columns
-        for tok in self.tokens:
-            a = tok.param if tok.exponent == 1 else ring.neg(tok.param)
-            i = tok.i - 1
-            j = sigma_index(n, tok.i) - 1 if tok.tag == "rl" else tok.j - 1
-            cols[j] = ring.axpy(cols[j], ring.neg(a), cols[i])
-            if tok.tag == "rs":
-                mirrored = a if eps == 1 or (tok.i <= n) == (tok.j <= n) else ring.neg(a)
-                si, sj = sigma_index(n, tok.i) - 1, sigma_index(n, tok.j) - 1
-                cols[si] = ring.axpy(cols[si], mirrored, cols[sj])
+        for (r, c), q in self._ops:
+            cols[c] = ring.axpy(cols[c], q, cols[r])
         return Matrix._raw(ring, tuple(zip(*cols)))
 
     def inverse(self) -> "GeneratorWord":

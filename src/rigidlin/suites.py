@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import IdentityViolation, UnsupportedRingError
 from .groups import (
+    FORM_KINDS,
     GeneratorWord,
     WordToken,
     elementary_matrix,
@@ -496,14 +497,14 @@ def _combine(rng: random.Random, ring: Ring, vectors: list, size: int, coeffs: l
 
 
 def _suite_transvections(ring: Ring, p: dict, check: _Checker) -> dict:
-    combos = [(kind, n) for kind in ("symplectic", "orthogonal") for n in p["ns"]]
+    combos = [(kind, n) for kind in FORM_KINDS for n in p["ns"]]
     params = _small_params(ring)
     coeffs = [ring.parse(str(c)) for c in (-2, -1, 1, 2)]
     # exactly p["trials"] trials: the first pairs take the remainder
     per_combo, extra = divmod(p["trials"], len(combos))
     for index, (kind, n) in enumerate(combos):
         form = form_matrix(ring, n, kind)
-        word_kind = "esp" if kind == "symplectic" else "eo"
+        word_kind = FORM_KINDS[kind][0]
         for t in range(per_combo + (index < extra)):
             rng = _rng(p["seed"], f"transvections:{kind}:{n}", t)
             k = rng.randint(0, min(2, n - 1))
@@ -556,7 +557,7 @@ def _suite_block_witnesses(ring: Ring, p: dict, check: _Checker) -> dict:
     params = _small_params(ring)
     for kind, n in p["configs"]:
         form = form_matrix(ring, n, kind)
-        word_kind = "esp" if kind == "symplectic" else "eo"
+        word_kind = FORM_KINDS[kind][0]
         for t in range(p["trials"]):
             rng = _rng(p["seed"], f"t-a:{kind}:{n}", t)
             g_word = random_unitary_word(rng, ring, word_kind, n, rng.randint(1, p["word_length"]),

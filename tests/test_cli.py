@@ -351,6 +351,30 @@ def test_eval_word_bad_token(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("lemma-ke", "--n", "4", "--param", "n=3"), "n"),
+    (("lemma-ke", "--seed", "5", "--param", "seed=7"), "seed"),
+    (("lemma-ke", "--param", "trials=1", "--param", "trials=2"), "trials"),
+    (("lemma-ke", "--count", "3", "--param", "need=4"), "need"),
+], ids=["n", "seed", "param-twice", "count-and-need"])
+def test_verify_refuses_a_parameter_given_twice(capsys, monkeypatch, argv, key):
+    _refuse_trials(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    _assert_refused(code, out, err, f"parameter {key} is given twice")
+
+
+@pytest.mark.parametrize("argv", [
+    ("snf", "--matrix", "2,4;6,8"),
+    ("kernel", "--matrix", "2,3"),
+    ("verify", "ring-axioms", "--param", "samples=5"),
+], ids=["snf", "kernel", "verify"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_to_an_unwritable_path_exits_two(tmp_path, capsys, argv, where):
+    target = str(tmp_path / "missing" / "x.json") if where == "missing-dir" else str(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", target)
+    _assert_refused(code, out, err, f"cannot write --out {target}: ")
+
+
 def test_out_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "ring-axioms", "--ring", "Z",

@@ -27,11 +27,22 @@ from rigidlin.suites import random_elementary_word, random_unitary_word
 Z = Integers()
 
 
+def _assert_word_gives(kind, n, token, expected):
+    """The one-token word gives the hand-written matrix, and its ^-1 token
+    the inverse: an independent pin of the word path."""
+    m = parse_matrix(Z, expected)
+    assert parse_word(Z, kind, n, token).evaluate() == m
+    assert (parse_word(Z, kind, n, token + "^-1").evaluate() @ m).is_identity()
+
+
 def test_elementary_examples():
     r = 7
     assert elementary_matrix(Z, 2, 1, 2, r) == parse_matrix(Z, f"1,{r};0,1")
     assert elementary_matrix(Z, 3, 1, 2, 0) == Matrix.identity(Z, 3)
     assert elementary_matrix(Z, 3, 3, 1, 2) == parse_matrix(Z, "1,0,0;0,1,0;2,0,1")
+    _assert_word_gives("en", 2, f"e(1,2,{r})", f"1,{r};0,1")
+    _assert_word_gives("en", 3, "e(1,2,0)", "1,0,0;0,1,0;0,0,1")
+    _assert_word_gives("en", 3, "e(3,1,2)", "1,0,0;0,1,0;2,0,1")
     with pytest.raises(ValueError):
         elementary_matrix(Z, 3, 2, 2, 1)
     with pytest.raises(ValueError):
@@ -52,6 +63,7 @@ def test_long_root_generator():
     a = 5
     assert unitary_generator(Z, 2, -1, 1, 3, a) == parse_matrix(
         Z, f"1,0,{a},0;0,1,0,0;0,0,1,0;0,0,0,1")
+    _assert_word_gives("esp", 2, f"rl(1,{a})", f"1,0,{a},0;0,1,0,0;0,0,1,0;0,0,0,1")
     with pytest.raises(ValueError):
         unitary_generator(Z, 2, +1, 1, 3, a)
 
@@ -73,6 +85,7 @@ def test_short_root_zero_parameter():
 ])
 def test_short_root_mirror_cases(i, j, eps, expected):
     assert unitary_generator(Z, 2, eps, i, j, 5) == parse_matrix(Z, expected)
+    _assert_word_gives("eo" if eps == 1 else "esp", 2, f"rs({i},{j},5)", expected)
 
 
 def test_short_root_mirror_identity():
@@ -336,9 +349,9 @@ SYMPLECTIC_2 = form_matrix(Z, 2, "symplectic")
     pytest.param(lambda: GeneratorWord(Z, "en", 2, (WordToken("rs", 1, 2, 1),)), ValueError,
                  "token 'rs' is not a linear-group generator", id="token-not-linear"),
     pytest.param(lambda: GeneratorWord(Z, "esp", 2, (WordToken("rl", 5, None, 1),)), ValueError,
-                 "bad index 5 for size 4", id="token-long-root-index"),
+                 "index 5 out of range 1..4", id="token-long-root-index"),
     pytest.param(lambda: GeneratorWord(Z, "eo", 2, (WordToken("rs", 1, 5, 1),)), ValueError,
-                 "bad indices (1, 5) for size 4", id="token-short-root-indices"),
+                 "indices (1, 5) out of range 1..4", id="token-short-root-indices"),
     pytest.param(lambda: GeneratorWord(Z, "esp", 2, (WordToken("e", 1, 2, 1),)), ValueError,
                  "token 'e' is not a unitary generator", id="token-not-unitary"),
     pytest.param(lambda: parse_word(Z, "esp", 2, "rl(1,2,3)"), ParseError,
@@ -351,3 +364,34 @@ SYMPLECTIC_2 = form_matrix(Z, 2, "symplectic")
 def test_bad_inputs_are_refused(call, error, fragment):
     with pytest.raises(error, match=re.escape(fragment)):
         call()
+
+
+@pytest.mark.parametrize("dense, kind, n, token, message", [
+    (lambda: elementary_matrix(Z, 3, 0, 2, 1), "en", 3, WordToken("e", 0, 2, 1),
+     "indices (0, 2) out of range 1..3"),
+    (lambda: elementary_matrix(Z, 3, 2, 4, 1), "en", 3, WordToken("e", 2, 4, 1),
+     "indices (2, 4) out of range 1..3"),
+    (lambda: elementary_matrix(Z, 3, 2, 2, 1), "en", 3, WordToken("e", 2, 2, 1),
+     "off-diagonal position required (i != j)"),
+    (lambda: elementary_matrix(Z, 3, 1, 2, 1.5), "en", 3, WordToken("e", 1, 2, 1.5),
+     "1.5 is not an element of Z"),
+    (lambda: unitary_generator(Z, 2, 1, 1, 5, 1), "eo", 2, WordToken("rs", 1, 5, 1),
+     "indices (1, 5) out of range 1..4"),
+    (lambda: unitary_generator(Z, 2, -1, 0, 2, 1), "esp", 2, WordToken("rs", 0, 2, 1),
+     "indices (0, 2) out of range 1..4"),
+    (lambda: unitary_generator(Z, 2, -1, 2, 2, 1), "esp", 2, WordToken("rs", 2, 2, 1),
+     "off-diagonal position required (i != j)"),
+    (lambda: unitary_generator(Z, 2, 1, 1, 3, 1), "eo", 2, WordToken("rl", 1, None, 1),
+     "long-root generators exist only in the symplectic group"),
+    (lambda: unitary_generator(Z, 2, 1, 1, 2, 1.5), "eo", 2, WordToken("rs", 1, 2, 1.5),
+     "1.5 is not an element of Z"),
+    (lambda: unitary_generator(Z, 2, -1, 4, 2, 1.5), "esp", 2, WordToken("rl", 4, None, 1.5),
+     "1.5 is not an element of Z"),
+], ids=["e-low", "e-high", "e-diagonal", "e-param", "rs-high", "rs-low", "rs-diagonal",
+        "rl-orthogonal", "rs-param", "rl-param"])
+def test_dense_generators_and_word_tokens_refuse_alike(dense, kind, n, token, message):
+    with pytest.raises(ValueError) as by_dense:
+        dense()
+    with pytest.raises(ValueError) as by_word:
+        GeneratorWord(Z, kind, n, (token,))
+    assert str(by_dense.value) == str(by_word.value) == message
