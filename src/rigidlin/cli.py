@@ -19,7 +19,9 @@ kind of ``groups.WORD_KINDS``, which also names the form that
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .errors import IdentityViolation, ParseError, UnsupportedRingError
@@ -92,6 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(evalw)
 
     return parser
+
+
+def _check_out(path: str) -> None:
+    """Refuse, before any work, an --out path that is a directory or whose
+    directory is missing; _emit refuses what shows only at write time."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _emit(args, payload: dict, human: str | None = None) -> None:
@@ -234,6 +248,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        if args.out:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (ParseError, UnsupportedRingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

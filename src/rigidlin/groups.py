@@ -48,7 +48,8 @@ def _entries(ring: Ring, epsilon: int, n: int, tag: str, i: int, j: int | None, 
     """The off-diagonal entries {(row, col): x}, 0-based, that the generator
     ``tag``(i, j, a), or its inverse for exponent -1, adds to the identity
     in the group of this epsilon (0 for E_n, -1 for ESp_2n, +1 for
-    EO(n,n)); ValueError if the group has no such generator.
+    EO(n,n)); ValueError if the group has no such generator.  j is None
+    exactly for ``rl``, whose column is fixed by i.
 
     ``e``(i, j, r) puts r at (i, j) of an n x n matrix.  In size 2n, with
     s = sigma_index, the long root ``rl``(i, a) puts a at (i, s(i)) and
@@ -63,6 +64,10 @@ def _entries(ring: Ring, epsilon: int, n: int, tag: str, i: int, j: int | None, 
     if tag not in (("rl", "rs") if epsilon else ("e",)):
         group = "unitary" if epsilon else "linear-group"
         raise ValueError(f"token {tag!r} is not a {group} generator")
+    if tag == "rl" and j is not None:
+        raise ValueError(f"token 'rl' takes no index j, got {j}")
+    if tag != "rl" and j is None:
+        raise ValueError(f"token {tag!r} needs an index j")
     size = 2 * n if epsilon else n
     if tag == "rl":
         if epsilon != -1:
@@ -94,7 +99,10 @@ def unitary_generator(ring: Ring, n: int, epsilon: int, i: int, j: int, a) -> Ma
     the entries of ``_entries``."""
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be +1 or -1")
-    tag = "rl" if 1 <= i <= 2 * n and j == sigma_index(n, i) else "rs"
+    if 1 <= i <= 2 * n and j == sigma_index(n, i):
+        tag, j = "rl", None
+    else:
+        tag = "rs"
     return Matrix._placed(ring, 2 * n, 2 * n, _entries(ring, epsilon, n, tag, i, j, a), ring.one)
 
 

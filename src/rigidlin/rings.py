@@ -22,9 +22,9 @@ entry: ``dots(u, vs)``, the dot products of u with each vector in vs,
 and ``axpy(xs, q, ys)``, the row ``[x - q*y]``.  The base class runs
 them on ``add``/``mul``/``sub``, skipping zero entries; ``Integers``
 overrides both with native ``int`` arithmetic, and the polynomial rings
-override ``axpy`` with one fused pass per entry over unreduced ``int``
-coefficients (except for products that ``mul`` takes by Kronecker
-substitution).  ``Z/m`` and ``Zi`` keep the base kernels.
+override ``axpy``: one big-int expression per entry on byte slots over
+``Z/p`` (p <= 13, short q), else one fused pass per entry over unreduced
+``int`` coefficients.  ``Z/m`` and ``Zi`` keep the base kernels.
 
 The Euclidean rings divide two ways: ``divmod``, whose remainder is
 canonical (least nonnegative over Z), and ``quotient``, whose remainder
@@ -480,7 +480,14 @@ class _PolynomialRing(Ring):
 
     def __init__(self, coefficients: Ring):
         self.coefficients = coefficients
-        self._modulus = coefficients.cardinality  # p over Z/p; None over Z
+        p = self._modulus = coefficients.cardinality  # p over Z/p; None over Z
+        # axpy's byte slots: K and the longest q they take (none over Z, p >= 17)
+        k = (256 - p) // p * p if p and p < 256 else 0
+        self._packs = k // (p - 1) ** 2 if k else 0
+        if self._packs:
+            self._fill = bytes([k])
+            self._plus_fill = bytes([(v + k) & 255 for v in range(256)])
+            self._mod = bytes([v % p for v in range(256)])
 
     def contains(self, a) -> bool:
         return (
@@ -546,11 +553,32 @@ class _PolynomialRing(Ring):
         return tuple(-c for c in a)
 
     def axpy(self, xs, q, ys) -> list:
-        """The row [x - q*y], each entry in one pass over unreduced int
-        coefficients reduced mod p once; pairs that mul packs stay
-        sub(x, mul(q, y))."""
+        """The row [x - q*y].
+
+        Over Z/p with len(q) <= K // (p-1)**2 (254, 63, 15, 6, 2 and 1 for
+        p = 2, 3, 5, 7, 11 and 13), each entry is one big-int expression on
+        byte slots, r = x + K*(1, ..., 1) - q*y, with K the largest multiple
+        of p such that K + p - 1 <= 255: a slot of q*y is at most
+        len(q)*(p-1)**2 <= K, so each slot of r lies in [0, 255], borrows
+        nothing and is x_j - (q*y)_j mod p; bytes.translate reduces it.  A
+        longer q, p >= 17 and Z take one pass per entry over unreduced ints,
+        reduced mod p once; pairs that mul packs stay sub(x, mul(q, y)).
+        """
         if not q:
             return list(xs)
+        if len(q) <= self._packs:
+            fill, plus_fill, mod = self._fill, self._plus_fill, self._mod
+            packed_q = int.from_bytes(bytes(q), "little")
+            out = []
+            for x, y in zip(xs, ys):
+                if y:
+                    n = max(len(x), len(q) + len(y) - 1)
+                    # x + K in every one of the n slots, minus q*y
+                    r = (int.from_bytes(bytes(x).translate(plus_fill).ljust(n, fill), "little")
+                         - packed_q * int.from_bytes(bytes(y), "little"))
+                    x = tuple(r.to_bytes(n, "little").translate(mod).rstrip(b"\0"))
+                out.append(x)
+            return out
         p = self._modulus
         # the shortest y that mul packs with q (never, over Z or for constant q)
         packs_at = max(2, -(-_KRONECKER_MIN_WORK // len(q))) if p and len(q) > 1 else sys.maxsize

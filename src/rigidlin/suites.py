@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, field
 from .errors import IdentityViolation, UnsupportedRingError
 from .groups import (
     FORM_KINDS,
+    WORD_KINDS,
     GeneratorWord,
     WordToken,
     elementary_matrix,
@@ -451,7 +452,7 @@ def _suite_forms_generators(ring: Ring, p: dict, check: _Checker) -> dict:
     rng = _rng(p["seed"], "forms-generators-words", 0)
     pool = _small_params(ring)
     for t in range(p["words"]):
-        kind = rng.choice(("en", "esp", "eo"))
+        kind = rng.choice(tuple(WORD_KINDS))  # en, esp, eo
         n = rng.choice((2, 3))
         length = rng.randint(1, 8)
         if kind == "en":
@@ -678,7 +679,8 @@ def _check_list(suite_id: str, key: str, value: list):
     for index, entry in enumerate(value):
         if key == "configs":
             ok = (type(entry) is list and len(entry) == 2
-                  and entry[0] in ("symplectic", "orthogonal") and _is_half_rank(entry[1]))
+                  and isinstance(entry[0], str) and entry[0] in FORM_KINDS
+                  and _is_half_rank(entry[1]))
             want = '[kind, half-rank], kind "symplectic" or "orthogonal", half-rank an int >= 2'
         else:
             ok = _is_half_rank(entry)

@@ -96,6 +96,10 @@ def test_verify_rejects_non_positive_parameters(capsys, monkeypatch, argv):
     (("transvections", "--param", "ns=[1]"), "must be an int >= 2, got 1"),
     (("t-a-witnesses", "--param", 'configs=[["symplectic", 1]]'), "got ['symplectic', 1]"),
     (("t-a-witnesses", "--param", 'configs=[["unitary", 2]]'), "got ['unitary', 2]"),
+    (("t-a-witnesses", "--param", 'configs=[[["symplectic"], 2]]'),
+     "got [['symplectic'], 2]"),
+    (("t-a-witnesses", "--param", 'configs=[[{"kind": "symplectic"}, 2]]'),
+     "got [{'kind': 'symplectic'}, 2]"),
     (("abelian-s", "--param", "ns=[1]"), "must be an int >= 2, got 1"),
     (("abelian-s", "--param", "ns=[true]"), "must be an int >= 2, got True"),
     (("abelian-s", "--param", 'ns=["a"]'), "must be an int >= 2, got 'a'"),
@@ -109,6 +113,7 @@ def test_verify_rejects_non_positive_parameters(capsys, monkeypatch, argv):
     (("t-a-witnesses", "--param", 'configs=[["orthogonal", 2]]'),
      "orthogonal configs need half-rank >= 3"),
 ], ids=["forms-half-rank-1", "transvections-half-rank-1", "t-a-half-rank-1", "t-a-kind",
+        "t-a-kind-list", "t-a-kind-dict",
         "abelian-n1", "abelian-bool", "abelian-str", "abelian-empty", "transvections-empty",
         "t-a-empty", "transvections-repeat", "abelian-repeat", "t-a-repeat",
         "t-a-orthogonal-half-rank-2"])
@@ -367,12 +372,30 @@ def test_verify_refuses_a_parameter_given_twice(capsys, monkeypatch, argv, key):
     ("snf", "--matrix", "2,4;6,8"),
     ("kernel", "--matrix", "2,3"),
     ("verify", "ring-axioms", "--param", "samples=5"),
-], ids=["snf", "kernel", "verify"])
-@pytest.mark.parametrize("where", ["missing-dir", "directory"])
-def test_out_to_an_unwritable_path_exits_two(tmp_path, capsys, argv, where):
+    ("verify", "rigidity-empirical", "--ring", "Z/19"),
+], ids=["snf", "kernel", "verify", "verify-finite"])
+@pytest.mark.parametrize("where, reason", [
+    pytest.param("missing-dir", "No such file or directory", id="missing-dir"),
+    pytest.param("directory", "Is a directory", id="directory")])
+def test_out_to_an_unwritable_path_exits_two(tmp_path, capsys, monkeypatch, argv, where, reason):
+    """Refused before the command's work: no trial, no Smith form, no kernel."""
+    def no_work(*args):
+        raise AssertionError("the command's work started")
+
+    _refuse_trials(monkeypatch)
+    for name in ("smith_normal_form", "kernel_basis"):
+        monkeypatch.setattr(rigidlin.cli, name, no_work)
     target = str(tmp_path / "missing" / "x.json") if where == "missing-dir" else str(tmp_path)
     code, out, err = run_cli(capsys, *argv, "--out", target)
-    _assert_refused(code, out, err, f"cannot write --out {target}: ")
+    _assert_refused(code, out, err, f"cannot write --out {target}: {reason}")
+
+
+def test_out_refused_only_at_write_time_exits_two(tmp_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("")
+    target = str(parent / "x.json")
+    code, out, err = run_cli(capsys, "snf", "--matrix", "2,4;6,8", "--out", target)
+    _assert_refused(code, out, err, f"cannot write --out {target}: Not a directory")
 
 
 def test_out_writes_file(tmp_path, capsys):

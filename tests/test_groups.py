@@ -395,3 +395,15 @@ def test_dense_generators_and_word_tokens_refuse_alike(dense, kind, n, token, me
     with pytest.raises(ValueError) as by_word:
         GeneratorWord(Z, kind, n, (token,))
     assert str(by_dense.value) == str(by_word.value) == message
+
+
+@pytest.mark.parametrize("kind, n, token, message", [
+    ("esp", 2, WordToken("rl", 1, 99, 1), "token 'rl' takes no index j, got 99"),
+    ("esp", 2, WordToken("rl", 1, 3, 1), "token 'rl' takes no index j, got 3"),
+    ("en", 3, WordToken("e", 1, None, 1), "token 'e' needs an index j"),
+    ("eo", 2, WordToken("rs", 1, None, 1), "token 'rs' needs an index j"),
+], ids=["rl-with-j", "rl-with-its-own-j", "e-without-j", "rs-without-j"])
+def test_word_tokens_refuse_a_wrong_arity(kind, n, token, message):
+    with pytest.raises(ValueError) as refused:
+        GeneratorWord(Z, kind, n, (token,))
+    assert str(refused.value) == message

@@ -2,9 +2,10 @@
 Fp[x]/5, on matrices of up to 5 x 6 with small entries, of the kernel
 contract over Z[x], on matrices of up to 3 x 4 with entries of degree at
 most 2, and of the packed A v = 0 check over Z against ``Matrix.apply``,
-on matrices of up to 6 x 8 with entries up to 2^130.  The examples are derandomized and their number is fixed, so every
-run checks the same matrices; a failure is shrunk and prints the matrix it
-drew."""
+on matrices of up to 6 x 8 with entries up to 2^130, and of Fp[x] axpy
+against schoolbook for p <= 13, where it packs byte slots.  The examples
+are derandomized and their number is fixed, so every run checks the same
+inputs; a failure is shrunk and prints the input it drew."""
 
 import pytest
 
@@ -172,3 +173,31 @@ def test_packed_check_agrees_with_apply(data):
             fresh(zero)
         assert fresh(vec) is expected
         assert shared(vec) is expected
+
+
+# the longest q that Fp[x] axpy packs into byte slots, for each p
+BYTE_SLOT_CAPS = {2: 254, 3: 63, 5: 15, 7: 6, 11: 2, 13: 1}
+
+
+@pytest.mark.parametrize("p", sorted(BYTE_SLOT_CAPS))
+@CONTRACT
+@given(data=st.data())
+def test_packed_axpy_matches_schoolbook(p, data):
+    ring = PrimeFieldPolynomials(p)
+    cap = BYTE_SLOT_CAPS[p]
+    coeffs = st.integers(0, p - 1)
+    poly = st.lists(coeffs, max_size=40).map(_polynomial)
+    q_len = data.draw(st.integers(1, 40) | st.sampled_from([cap, cap + 1]), label="len(q)")
+    q = tuple(data.draw(st.lists(coeffs, min_size=q_len - 1, max_size=q_len - 1), label="q"))
+    q += (data.draw(st.integers(1, p - 1), label="top of q"),)
+    width = data.draw(st.integers(0, 4), label="entries")
+    xs = data.draw(st.lists(poly, min_size=width, max_size=width), label="xs")
+    ys = data.draw(st.lists(st.just(()) | poly, min_size=width, max_size=width), label="ys")
+    expected = []
+    for x, y in zip(xs, ys):  # schoolbook x - q*y, reduced mod p
+        acc = list(x) + [0] * (len(q) + len(y) - 1 - len(x))
+        for i, a in enumerate(q):
+            for j, b in enumerate(y):
+                acc[i + j] -= a * b
+        expected.append(_polynomial([c % p for c in acc]))
+    assert ring.axpy(xs, q, ys) == expected

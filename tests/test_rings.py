@@ -269,10 +269,10 @@ def _operand_pairs(rng, ring):
     return pairs
 
 
-# 2, 3, 5 and 7 pack into 1- and 2-byte slots, 251 into 4, 65521 into 8;
-# 4294967311 is too large to pack and multiplies by schoolbook
+# 2, 3, 5, 7, 11, 13 and 17 pack into 1- and 2-byte slots, 251 into 4,
+# 65521 into 8; 4294967311 is too large to pack and multiplies by schoolbook
 @pytest.mark.parametrize("ring", [PrimeFieldPolynomials(p)
-                                  for p in (2, 3, 5, 7, 251, 65521, 4294967311)]
+                                  for p in (2, 3, 5, 7, 11, 13, 17, 251, 65521, 4294967311)]
                          + [IntegerPolynomials()], ids=ring_id)
 def test_polynomial_arithmetic_matches_sympy(ring):
     pytest.importorskip("sympy")
@@ -398,13 +398,14 @@ def _kernel_pool(rng, ring):
 
 @pytest.mark.parametrize("ring", [
     Integers(), Modular(6), GaussianIntegers(), IntegerPolynomials(),
-    PrimeFieldPolynomials(5), PrimeFieldPolynomials(4294967311),
+    *(PrimeFieldPolynomials(p) for p in (2, 3, 5, 7, 11, 13, 17, 4294967311)),
 ], ids=ring_id)
 def test_row_kernels_match_ring_arithmetic(ring):
     """dots and axpy agree with per-entry add/mul/sub, on vectors with zero
     entries, with q = 0, with no vectors at all, and on polynomial products
     either side of the size at which Fp[x] multiplies by Kronecker
-    substitution (4294967311 is too large to pack)."""
+    substitution (4294967311 is too large to pack); axpy over Fp[x] takes
+    its byte slots for p <= 13 and a short enough q."""
     rng = random.Random(f"row-kernels:{ring.descriptor}")
     z = ring.zero
     pool = _kernel_pool(rng, ring)
@@ -440,6 +441,57 @@ def test_row_kernels_match_ring_arithmetic(ring):
             xs = [rng.choice(pool), z, rng.choice(pool)]
             assert ring.axpy(xs, q, [y, y, z]) == axpy(xs, q, [y, y, z])
             assert ring.dots((q, z), [(y, q)]) == (dot((q, z), (y, q)),)
+
+
+# the longest q that Fp[x] axpy packs into byte slots, for each p
+_BYTE_SLOT_CAPS = {2: 254, 3: 63, 5: 15, 7: 6, 11: 2, 13: 1, 17: 0}
+
+
+@pytest.mark.parametrize("p", sorted(_BYTE_SLOT_CAPS))
+def test_packed_axpy_edges_match_schoolbook(p):
+    """axpy against schoolbook x - q*y at the byte-slot bound: len(q) at the
+    bound and one past it, with every coefficient p - 1 (the fullest slot)
+    and at random; an x longer than q*y; results that cancel to zero or
+    lose their top coefficients; and an entry of more than 1,024
+    coefficients."""
+    ring = PrimeFieldPolynomials(p)
+    cap = _BYTE_SLOT_CAPS[p]
+    assert ring._packs == cap
+    _, sub, mul, _ = _schoolbook(p)
+    rng = random.Random(f"packed-axpy:{p}")
+
+    def poly(n):
+        return tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),)
+
+    def check(xs, q, ys):
+        assert ring.axpy(xs, q, ys) == [sub(x, mul(q, y)) for x, y in zip(xs, ys)], (xs, q, ys)
+
+    full = p - 1
+    for length in (cap, cap + 1):
+        if not length:
+            continue
+        for q in ((full,) * length, poly(length)):
+            for y in ((full,) * 40, poly(40), poly(1), (full,)):
+                x_full, x_long = (full,) * (len(q) + len(y) - 1), poly(len(q) + len(y) + 7)
+                product = mul(q, y)
+                # a result whose top coefficients cancel: x agrees with q*y above degree 2
+                x_top = tuple(rng.randrange(p) for _ in range(3)) + product[3:]
+                check([(), x_full, x_long, product, x_top, poly(5)], q, [y, y, y, y, y, ()])
+    q = poly(min(cap, 3) or 1)
+    long_y = poly(1500)
+    check([poly(1100), (), poly(2000)], q, [long_y, long_y, long_y])
+
+
+@pytest.mark.parametrize("q_len, calls_mul", [(1, False), (15, False), (16, True)])
+def test_fp5_axpy_packs_up_to_fifteen_coefficients_of_q(monkeypatch, q_len, calls_mul):
+    """Over Fp[x]/5 axpy packs each entry itself while len(q) <= 15; past
+    that, a long entry goes through mul as before."""
+    ring = PrimeFieldPolynomials(5)
+    calls = []
+    mul = ring.mul
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    ring.axpy([(1, 2), ()], (4,) * q_len, [(3,) * 40, (1, 1)])
+    assert bool(calls) is calls_mul
 
 
 def test_large_prime_is_refused_at_once():
