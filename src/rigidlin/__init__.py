@@ -58,6 +58,7 @@ from .witnesses import (
     build_shear,
     complement_module,
     conjugate_by_stabilizer,
+    conjugate_module,
     intersection_witnesses,
     stabilizer_check,
     transvection,
@@ -92,6 +93,7 @@ __all__ = [
     "build_shear",
     "complement_module",
     "conjugate_by_stabilizer",
+    "conjugate_module",
     "elementary_matrix",
     "embed_stabilize",
     "form_matrix",

@@ -29,11 +29,8 @@ pairwise-distinct solution streams by walking coefficient tuples in the
 ring's documented enumeration order.  Each identity is checked once,
 where it is emitted: A v = 0 on every kernel generator, and again on
 every vector a solution stream yields, since a stream of combinations
-is a separate emission.  Both checks are ``_annihilator``'s exact
-predicate.  Over Z it checks each vector after the third with one sum of
-products against A's columns packed into integers (Kronecker
-substitution), in slots of s bits with every |(A v)_i| < 2^(s-1), so the
-packed sum is 0 exactly when A v = 0.
+is a separate emission.  Both checks, and the witness layer's, are
+``_annihilator``'s exact predicate, packed over Z.
 """
 
 from __future__ import annotations
@@ -269,8 +266,7 @@ def kernel_basis(a: Matrix) -> KernelModule:
     minors (``_minor_kernel``): a basis over the fraction field, whose
     span is a full-rank submodule of the kernel that may be proper.  Each
     generator is checked once, A v = 0 over the ring of A, by
-    ``_annihilator``: over Z the generators after the third are checked
-    by one packed product each, exact by the slot-width bound there.
+    ``_annihilator``.
     """
     ring = a.ring
     work = _elimination_ring(ring)
@@ -424,11 +420,8 @@ def combination_stream(kernel: KernelModule, count: int) -> Iterator[tuple]:
 def solution_stream(a: Matrix, count: int) -> Iterator[tuple]:
     """Pairwise-distinct nonzero solutions of A x = 0, each checked on emission.
 
-    Each vector is checked once by ``_annihilator``: over Z, after the
-    third, by one exact sum against A's columns packed into slots wide
-    enough for every (A v)_i, packed once per stream and again only when a
-    vector outgrows the slots.  The stream ends early only when the kernel
-    is finite (finite ring or trivial kernel)."""
+    Each vector is checked once by ``_annihilator``.  The stream ends
+    early only when the kernel is finite (finite ring or trivial kernel)."""
     annihilates = _annihilator(a)
     for vec in combination_stream(kernel_basis(a), count):
         if not annihilates(vec):

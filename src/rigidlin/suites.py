@@ -53,6 +53,7 @@ from .witnesses import (
     StabilizerContext,
     block_unipotent_witnesses,
     conjugate_by_stabilizer,
+    conjugate_module,
     intersection_witnesses,
     transvection,
     transvection_short,
@@ -232,10 +233,18 @@ def _suite_snf_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
     return {"trials": p["trials"]}
 
 
+# The most points one trial may enumerate, cols up to 3 each: (2 box + 1)**3
+# in kernel-oracle's box, m**3 in rigidity-empirical's (Z/m)^cols.
+RIGIDITY_ENUMERATION_CAP = 8000
+
+
 def _suite_kernel_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
     if not isinstance(ring, Integers):
         raise UnsupportedRingError("the kernel oracle suite runs over Z")
     box = p["box"]
+    if (2 * box + 1) ** 3 > RIGIDITY_ENUMERATION_CAP:
+        raise ValueError(f"kernel-oracle with box {box} would enumerate up to {(2 * box + 1) ** 3} "
+                         f"points per trial; the cap is {RIGIDITY_ENUMERATION_CAP}")
     for t in range(p["trials"]):
         rng = _rng(p["seed"], "kernel-oracle", t)
         rows, cols = rng.randint(1, 2), rng.randint(1, 3)
@@ -252,11 +261,6 @@ def _suite_kernel_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
             check.samples.append({"matrix": label,
                                   "basis": [format_vector(ring, v) for v in kernel.basis]})
     return {"trials": p["trials"]}
-
-
-# Largest m**3 the finite branch of rigidity-empirical accepts: each trial
-# enumerates all of (Z/m)^cols, with cols up to 3.
-RIGIDITY_ENUMERATION_CAP = 8000
 
 
 def _suite_rigidity(ring: Ring, p: dict, check: _Checker) -> dict:
@@ -380,14 +384,14 @@ def _suite_conjugation(ring: Ring, p: dict, check: _Checker) -> dict:
         functionals = [w.functional for w in witnesses[:3]]
         for _ in range(p["conjugators"]):
             q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
-            results = check.attempt(
+            closed = check.attempt(
                 lambda: (f"{label} ; q={format_matrix(q)}", "closed under conjugation"),
-                lambda: list(conjugate_by_stabilizer(ctx, q, witnesses)),
-                (ValueError, IdentityViolation))
-            if results and t == 0 and not check.samples:
+                lambda: conjugate_module(ctx, q), (ValueError, IdentityViolation))
+            if closed is not None and t == 0 and not check.samples:
+                [conjugate] = conjugate_by_stabilizer(ctx, q, witnesses[:1])
                 check.samples.append({"witness": format_matrix(witnesses[0].matrix),
                                       "conjugator": format_matrix(q),
-                                      "conjugate": format_matrix(results[0].matrix)})
+                                      "conjugate": format_matrix(conjugate.matrix)})
     return {"trials": p["trials"]}
 
 

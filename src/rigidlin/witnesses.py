@@ -1,45 +1,38 @@
 """Verified witness families inside stabilizer intersections.
 
-Three constructions, all emitted through fail-fast verification:
+Three constructions, each emission checked (``IdentityViolation`` on a
+failure, never sampled):
 
-* first-row shears ``(1, f; 0, I)``, held as functionals f annihilating
-  the first columns of the conjugating matrices; each emission, and each
-  conjugate by a stabilizer element, is checked to lie in every
-  conjugated stabilizer.  A batch of shears is conjugated by one
-  stabilizer element in one pass, checked where it enters
-  ``conjugate_by_stabilizer``: one ``dots`` per column of its lower
-  block, one per image;
-* Eichler transvections attached to isotropic pairs in the complement of
-  a finite set of vectors under a split bilinear form, built as rank-two
-  row updates of the identity and checked once, M^T * gram * M == gram;
-* upper block-unipotent matrices ``(I, A; 0, I)``, held as the n x n
-  block A, with A^T = -eps A, the symmetry class the form admits,
-  restricted to those fixing a prescribed image vector.
+* first-row shears ``(1, f; 0, I)``, held as functionals f streamed from
+  the context's kernel module.  A stabilizer element q = (1, x; 0, A) acts
+  on that module linearly, f -> f*A, so ``conjugate_module`` checks
+  closure under q once, on the module's few generators;
+* Eichler transvections on isotropic pairs in the complement of a finite
+  set of vectors under a split bilinear form, rank-two row updates of the
+  identity checked once, M^T * gram * M == gram;
+* upper block-unipotent matrices ``(I, A; 0, I)``, held as the n x n block
+  A with A^T = -eps A, the symmetry class the form admits, fixing a
+  prescribed image vector.
 
 Pairing rows v^T * gram come from ``BilinearForm.covector``, never from a
-product with the Gram matrix.
-
-Every kernel these constructions stream from comes from ``kernel_basis``,
-over all five rings: over Z[x] its generators are signed maximal minors,
-so the streams walk a full-rank submodule of the kernel that may be
-proper; over the other rings they walk the whole kernel.
-
-Verification is mandatory on emission, never sampled: a witness that
-fails its defining identity raises ``IdentityViolation``.  Each conjugator
-is checked once, where it enters (``StabilizerContext``,
-``conjugate_by_stabilizer``), and each witness once, where it is emitted.
+product with the Gram matrix.  Every kernel comes from ``kernel_basis``:
+over Z[x] the streams walk a full-rank submodule of the kernel that may
+be proper, elsewhere the whole kernel.
+Each conjugator is checked once, where it enters (``StabilizerContext``,
+``conjugate_module``, ``conjugate_by_stabilizer``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .errors import IdentityViolation, NotInvertibleError
 from .groups import BilinearForm, preserves_form
 from .matrix import Matrix, unit_vector, vec_is_zero, vec_neg
-from .normal_forms import KernelModule, combination_stream, kernel_basis
+from .normal_forms import KernelModule, _annihilator, combination_stream, kernel_basis
 from .rings import Ring
 
 
@@ -47,10 +40,10 @@ class StabilizerContext:
     """A tuple of conjugating matrices with their first-column images.
 
     The identity conjugator is implicit: the constraint vectors are e1
-    followed by the first columns of the conjugators.  The size is at least
-    2, as for every shear.  Each conjugator is checked once, here (ring,
-    size, form, unit determinant); streams over the context check only the
-    identity of each witness they emit.
+    followed by the first columns of the conjugators.  Each conjugator is
+    checked once, here (ring, size >= 2, form, unit determinant).  Kept
+    once built: ``kernel``, the module the shears stream from, and
+    ``annihilates``, the A v = 0 predicate on the projected images.
     """
 
     def __init__(self, ring: Ring, size: int, conjugators=(), form: BilinearForm | None = None):
@@ -77,6 +70,20 @@ class StabilizerContext:
         self.constraint_vectors = (unit_vector(ring, size, 0),) + self.first_column_images
         # the images without their first coordinate, which a shear must annihilate
         self.projected_images = tuple(img[1:] for img in self.first_column_images)
+
+    @cached_property
+    def kernel(self) -> KernelModule:
+        # the functionals annihilating every projected image; all when there are none
+        dim = self.size - 1
+        if self.projected_images:
+            return kernel_basis(Matrix._raw(self.ring, self.projected_images))
+        return KernelModule(self.ring, dim, Matrix.identity(self.ring, dim).entries)
+
+    @cached_property
+    def annihilates(self):
+        # against one zero row when there are no images
+        images = self.projected_images or ((self.ring.zero,) * (self.size - 1),)
+        return _annihilator(Matrix._raw(self.ring, images))
 
 
 @dataclass(frozen=True)
@@ -126,24 +133,16 @@ def build_shear(ring: Ring, n: int, functional) -> ShearWitness:
 
 
 def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[ShearWitness]:
-    """Shears lying in the stabilizer of e1 and in every conjugated copy.
-
-    Functionals are streamed from the kernel of the matrix whose rows are
-    the projected images (every functional when there are none); each
-    shear T is verified to fix every image g e1 (T v = v exactly when
-    f(tail of v) = 0) before it is yielded: g^-1 * T * g * e1 == e1.
-    The stream is infinite over an infinite ring whenever the number of
-    conjugators is at most size - 2.
+    """Shears lying in the stabilizer of e1 and in every conjugated copy,
+    streamed from ``ctx.kernel`` (read on the first ``next``).  Each is
+    checked by ``ctx.annihilates`` before it is yielded: T fixes g e1
+    exactly when f annihilates the tail of g e1.  The stream is infinite
+    over an infinite ring whenever there are at most size - 2 conjugators.
     """
-    ring, images = ctx.ring, ctx.projected_images
-    if images:
-        kernel = kernel_basis(Matrix._raw(ring, images))
-    else:
-        kernel = KernelModule(ring, ctx.size - 1, Matrix.identity(ring, ctx.size - 1).entries)
-    for functional in combination_stream(kernel, count):
-        if not vec_is_zero(ring, ring.dots(functional, images)):
+    for functional in combination_stream(ctx.kernel, count):
+        if not ctx.annihilates(functional):
             raise IdentityViolation("shear escaped a conjugated stabilizer")
-        yield ShearWitness(ring, functional)
+        yield ShearWitness(ctx.ring, functional)
 
 
 def _lower_columns(q: Matrix) -> tuple:
@@ -151,33 +150,55 @@ def _lower_columns(q: Matrix) -> tuple:
     return tuple(zip(*(row[1:] for row in q.entries[1:])))
 
 
-def conjugate_by_stabilizer(ctx: StabilizerContext, q: Matrix, witnesses) -> Iterator[ShearWitness]:
-    """Conjugate shears by a stabilizer element q = (1, x; 0, A) of the
-    context, yielding q^-1 * T * q for each shear T in order.
-
-    q is checked once, where it enters, before anything is yielded:
-    matching ring and size, first column e1, unit determinant, and fixing
-    every image (``ValueError`` otherwise).  Each result is the shear with
-    functional f' = f*A: as q e1 = e1, q * T' and T * q agree off the
-    first row, and there (1, x + f') = (1, x) + (0, f)*q.  The whole batch
-    is one column-major pass: coordinate j of every f' is one ``dots`` of
-    column j of A against the functionals.  The one check, one ``dots`` per
-    projected image against every f', is that each f' annihilates every
-    image, which makes each T' a member of the intersection whatever shear
-    it came from (``build_shear`` takes any functional).  A shear of
-    another ring or length is refused (``ValueError``) before anything is
-    yielded; a failed check means a broken identity, never a bad input.
-    """
-    ring, dim = ctx.ring, ctx.size - 1
-    if q.rows != ctx.size or q.cols != ctx.size or q.ring != ring:
+def _check_conjugator(ctx: StabilizerContext, q: Matrix):
+    # ValueError unless q is a stabilizer element of the context
+    if q.rows != ctx.size or q.cols != ctx.size or q.ring != ctx.ring:
         raise ValueError("conjugator does not match the context")
     if not stabilizer_check(q):
         raise ValueError("conjugator is not a stabilizer element (first column != e1)")
-    if ring.unit_inverse(q.det()) is None:
+    if ctx.ring.unit_inverse(q.det()) is None:
         raise ValueError("conjugator is not invertible")
     for img in ctx.first_column_images:
         if q.apply(img) != img:
             raise ValueError("conjugator does not fix the conjugated images")
+
+
+def _conjugated(ctx: StabilizerContext, q: Matrix, functionals) -> tuple:
+    # each f*A, checked before any is returned; coordinate j is one dots with column j of A
+    conjugated = tuple(zip(*(ctx.ring.dots(col, functionals) for col in _lower_columns(q))))
+    for functional in conjugated:
+        if not ctx.annihilates(functional):
+            raise IdentityViolation("conjugated functional does not annihilate an image")
+    return conjugated
+
+
+def conjugate_module(ctx: StabilizerContext, q: Matrix) -> KernelModule:
+    """``ctx.kernel`` conjugated by a stabilizer element q = (1, x; 0, A):
+    the module generated by g*A for each generator g.
+
+    q is checked where it enters: matching ring and size, first column e1,
+    unit determinant, and fixing every image (``ValueError`` otherwise).
+    Checking each g*A by ``ctx.annihilates`` checks closure for the whole
+    module: f -> f*A is linear, so it maps combinations of the generators
+    to the same combinations of the g*A.
+    """
+    _check_conjugator(ctx, q)
+    kernel = ctx.kernel
+    return KernelModule(ctx.ring, kernel.ambient_dim, _conjugated(ctx, q, kernel.basis))
+
+
+def conjugate_by_stabilizer(ctx: StabilizerContext, q: Matrix, witnesses) -> Iterator[ShearWitness]:
+    """Conjugate arbitrary shears by a stabilizer element q = (1, x; 0, A)
+    of the context, yielding q^-1 * T * q for each in order.
+
+    q and each result, the shear of f' = f*A, are checked as in
+    ``conjugate_module``, before anything is yielded (as q e1 = e1, q * T'
+    and T * q agree off the first row, and there (1, x + f') = (1, x) +
+    (0, f)*q), so each T' lies in the intersection whatever shear it came
+    from.  A shear of another ring or length is refused (``ValueError``).
+    """
+    ring, dim = ctx.ring, ctx.size - 1
+    _check_conjugator(ctx, q)
     functionals = []
     for witness in witnesses:
         if witness.ring is not ring and witness.ring != ring:
@@ -185,11 +206,7 @@ def conjugate_by_stabilizer(ctx: StabilizerContext, q: Matrix, witnesses) -> Ite
         if len(witness.functional) != dim:
             raise ValueError(f"shear functional length {len(witness.functional)} != {dim}")
         functionals.append(witness.functional)
-    conjugated = tuple(zip(*(ring.dots(column, functionals) for column in _lower_columns(q))))
-    for image in ctx.projected_images:
-        if not vec_is_zero(ring, ring.dots(image, conjugated)):
-            raise IdentityViolation("conjugated functional does not annihilate an image")
-    for functional in conjugated:
+    for functional in _conjugated(ctx, q, functionals):
         yield ShearWitness(ring, functional)
 
 

@@ -150,6 +150,16 @@ def test_verify_refuses_inapplicable_or_intractable_parameters(capsys, argv, mes
     assert message in err and "pass" not in out
 
 
+def test_kernel_oracle_box_above_the_enumeration_cap_is_refused(capsys, monkeypatch):
+    # box=1000 used to enumerate up to 8e9 points per trial, with no end in sight
+    def no_trial(a):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(rigidlin.suites, "kernel_basis", no_trial)
+    code, out, err = run_cli(capsys, "verify", "kernel-oracle", "--param", "box=1000")
+    _assert_refused(code, out, err, "the cap is 8000")
+
+
 def test_witness_refuses_linear_size_one(capsys):
     # it used to fail on the identity of size 0 with "size must be positive"
     code, out, err = run_cli(capsys, "witness", "--group", "en", "--n", "1")

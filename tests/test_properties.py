@@ -2,10 +2,15 @@
 Fp[x]/5, on matrices of up to 5 x 6 with small entries, of the kernel
 contract over Z[x], on matrices of up to 3 x 4 with entries of degree at
 most 2, and of the packed A v = 0 check over Z against ``Matrix.apply``,
-on matrices of up to 6 x 8 with entries up to 2^130, and of Fp[x] axpy
-against schoolbook for p <= 13, where it packs byte slots.  The examples
+on matrices of up to 6 x 8 with entries up to 2^130, of Fp[x] axpy
+against schoolbook for p <= 13, where it packs byte slots, and of
+``conjugate_module`` against conjugated witness batches over Z, Z/7 and
+Fp[x]/5, on stabilizer contexts of size 3 to 5.  The examples
 are derandomized and their number is fixed, so every run checks the same
 inputs; a failure is shrunk and prints the input it drew."""
+
+import itertools
+import random
 
 import pytest
 
@@ -13,14 +18,21 @@ from rigidlin import (
     IntegerPolynomials,
     Integers,
     Matrix,
+    Modular,
     PrimeFieldPolynomials,
+    StabilizerContext,
+    conjugate_by_stabilizer,
+    conjugate_module,
     hermite_normal_form,
+    in_row_span,
+    intersection_witnesses,
     kernel_basis,
     smith_normal_form,
     solution_stream,
 )
 from rigidlin.matrix import vec_is_zero
 from rigidlin.normal_forms import _annihilator
+from rigidlin.suites import _random_stabilizer_conjugator, random_elementary_word
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -201,3 +213,22 @@ def test_packed_axpy_matches_schoolbook(p, data):
                 acc[i + j] -= a * b
         expected.append(_polynomial([c % p for c in acc]))
     assert ring.axpy(xs, q, ys) == expected
+
+
+CONJUGATION_RINGS = {"Z": Z, "Z/7": Modular(7), "Fp[x]/5": F5}
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_conjugated_witnesses_lie_in_the_conjugated_module(data):
+    ring = CONJUGATION_RINGS[data.draw(st.sampled_from(sorted(CONJUGATION_RINGS)), label="ring")]
+    n = data.draw(st.integers(3, 5), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    words = [random_elementary_word(rng, ring, n, rng.randint(1, 4)) for _ in range(n - 2)]
+    ctx = StabilizerContext(ring, n, tuple(w.evaluate() for w in words))
+    witnesses = list(itertools.islice(intersection_witnesses(ctx, 8), 8))
+    pool = [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
+    q = _random_stabilizer_conjugator(rng, ring, n, [w.functional for w in witnesses[:3]], pool)
+    module = conjugate_module(ctx, q)
+    for conjugate in conjugate_by_stabilizer(ctx, q, witnesses):
+        assert in_row_span(ring, module.basis, conjugate.functional)

@@ -21,6 +21,7 @@ from rigidlin import (
     build_shear,
     complement_module,
     conjugate_by_stabilizer,
+    conjugate_module,
     elementary_matrix,
     form_matrix,
     in_row_span,
@@ -35,7 +36,7 @@ from rigidlin import (
     unit_vector,
     unitary_generator,
 )
-from rigidlin.normal_forms import combination_stream
+from rigidlin.normal_forms import KernelModule, combination_stream
 from rigidlin.suites import (
     _random_stabilizer_conjugator,
     random_elementary_word,
@@ -211,6 +212,44 @@ def test_conjugate_refuses_a_bad_shear_before_yielding(bad, message, position):
     stream = conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"), batch)
     with pytest.raises(ValueError, match=message):
         next(stream)
+
+
+def test_conjugate_module_spans_the_conjugated_witnesses():
+    # one image tail (1, 0, 0): the module is generated by (0, 1, 0) and (0, 0, 1)
+    ctx = StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 2, 1, 1),))
+    q = parse_matrix(Z, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1")  # A = (1, 2, 5; 0, 2, 1; 0, 1, 1)
+    module = conjugate_module(ctx, q)
+    assert module == KernelModule(Z, 3, ((0, 2, 1), (0, 1, 1)))
+    conjugates = [w.functional for w in conjugate_by_stabilizer(
+        ctx, q, list(intersection_witnesses(ctx, 8)))]
+    assert all(in_row_span(Z, module.basis, f) for f in conjugates)
+    assert all(in_row_span(Z, conjugates, g) for g in module.basis)
+
+
+@pytest.mark.parametrize("q", [
+    Matrix.identity(Z, 4),  # wrong size
+    Matrix.identity(Modular(5), 3),  # wrong ring
+    elementary_matrix(Z, 3, 2, 1, 1),  # first column != e1
+    parse_matrix(Z, "1,0,0;0,1,0;0,0,2"),  # det 2, fixes the image
+    parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"),  # det 1, moves the image
+], ids=["size", "ring", "first-column", "det", "image"])
+def test_conjugate_module_refuses_as_conjugate_by_stabilizer(q):
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    with pytest.raises(ValueError) as by_module:
+        conjugate_module(ctx, q)
+    with pytest.raises(ValueError) as by_batch:
+        list(conjugate_by_stabilizer(ctx, q, []))
+    assert str(by_module.value) == str(by_batch.value)
+
+
+def test_conjugate_module_checks_every_generator():
+    # a module whose second generator does not annihilate the image tail
+    # (1, 0, 0): its first conjugate passes, its second must not
+    ctx = StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 2, 1, 1),))
+    ctx.kernel = KernelModule(Z, 3, ((0, 1, 0), (1, 0, 1)))
+    q = parse_matrix(Z, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1")
+    with pytest.raises(IdentityViolation, match="does not annihilate an image"):
+        conjugate_module(ctx, q)
 
 
 def _pool(ring):
