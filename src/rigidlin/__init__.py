@@ -57,7 +57,6 @@ from .witnesses import (
     block_unipotent_witnesses,
     build_shear,
     complement_module,
-    conjugate_by_stabilizer,
     conjugate_module,
     intersection_witnesses,
     stabilizer_check,
@@ -92,7 +91,6 @@ __all__ = [
     "block_unipotent_witnesses",
     "build_shear",
     "complement_module",
-    "conjugate_by_stabilizer",
     "conjugate_module",
     "elementary_matrix",
     "embed_stabilize",

@@ -11,7 +11,8 @@ unsupported rings, unknown suites, parameters a suite does not take,
 that are out of range, that are given twice or that the ring's branch of
 the suite ignores, enumerations above their cap, ``--seed`` outside
 ``verify``, ``--count`` below 1, ``witness --group en`` below size 2,
-an ``--out`` path that cannot be written).  ``--group`` takes a word
+``witness`` and ``eval-word`` matrices above ``MATRIX_SIZE_CAP``, an
+``--out`` path that cannot be written).  ``--group`` takes a word
 kind of ``groups.WORD_KINDS``, which also names the form that
 ``witness`` and ``eval-word`` use for it.
 """
@@ -29,7 +30,7 @@ from .groups import WORD_KINDS, form_matrix, format_word, parse_word, preserves_
 from .matrix import Matrix, format_matrix, format_vector, parse_matrix
 from .normal_forms import smith_normal_form, kernel_basis, solution_stream
 from .rings import ring_from_text
-from .suites import SUITE_IDS, run_suite
+from .suites import MATRIX_SIZE_CAP, SUITE_IDS, run_suite
 from .witnesses import (
     StabilizerContext,
     block_unipotent_witnesses,
@@ -154,6 +155,12 @@ def _check_count(args) -> None:
         raise ValueError("--count must be at least 1")
 
 
+def _check_size(args) -> None:
+    size = 2 * args.n if WORD_KINDS[args.group][0] else args.n
+    if size > MATRIX_SIZE_CAP:
+        raise ValueError(f"--n {args.n} builds {size}x{size} matrices; the cap is {MATRIX_SIZE_CAP}")
+
+
 def _cmd_kernel(args) -> int:
     _check_count(args)
     ring = ring_from_text(args.ring)
@@ -187,6 +194,7 @@ def _cmd_snf(args) -> int:
 
 def _cmd_witness(args) -> int:
     _check_count(args)
+    _check_size(args)
     ring = ring_from_text(args.ring)
     word_texts = [w for chunk in args.conjugators for w in chunk.split("|") if w.strip()]
     words = [parse_word(ring, args.group, args.n, text) for text in word_texts]
@@ -214,6 +222,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_eval_word(args) -> int:
+    _check_size(args)
     ring = ring_from_text(args.ring)
     word = parse_word(ring, args.group, args.n, args.word)
     matrix = word.evaluate()

@@ -374,10 +374,22 @@ def _minor_kernel(a: Matrix) -> Iterator[tuple]:
         yield tuple(vec)
 
 
+def _graded_ranks(grade: int, k: int) -> Iterator[tuple]:
+    """The k-tuples of ranks at most grade whose largest is grade, in
+    lexicographic order: after a first rank below grade the rest must
+    reach it, after a first rank of grade the rest is free."""
+    if k == 1:
+        return iter([(grade,)])
+    below = ((first,) + rest for first in range(grade) for rest in _graded_ranks(grade, k - 1))
+    top = ((grade,) + rest for rest in itertools.product(range(grade + 1), repeat=k - 1))
+    return itertools.chain(below, top)
+
+
 def coefficient_tuples(ring: Ring, k: int) -> Iterator[tuple]:
-    """All k-tuples of ring elements, graded by the largest enumeration
-    index appearing in the tuple; lexicographic within a grade.  Finite
-    for finite rings."""
+    """All k-tuples of ring elements, k >= 1, graded by the largest
+    enumeration index appearing in the tuple; lexicographic within a
+    grade.  Each grade g emits only its (g+1)^k - g^k tuples.  Finite for
+    finite rings."""
     pool: list = []
     source = ring.elements()
     grade = 0
@@ -387,9 +399,7 @@ def coefficient_tuples(ring: Ring, k: int) -> Iterator[tuple]:
                 pool.append(next(source))
             except StopIteration:
                 return
-        for ranks in itertools.product(range(grade + 1), repeat=k):
-            if grade and max(ranks) != grade:
-                continue
+        for ranks in _graded_ranks(grade, k):
             yield tuple(pool[r] for r in ranks)
         grade += 1
 

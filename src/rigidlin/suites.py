@@ -43,6 +43,7 @@ from .matrix import (
     vec_is_zero,
 )
 from .normal_forms import (
+    combination_stream,
     in_row_span,
     kernel_basis,
     smith_normal_form,
@@ -50,9 +51,9 @@ from .normal_forms import (
 )
 from .rings import Integers, Ring
 from .witnesses import (
+    ShearWitness,
     StabilizerContext,
     block_unipotent_witnesses,
-    conjugate_by_stabilizer,
     conjugate_module,
     intersection_witnesses,
     transvection,
@@ -237,6 +238,11 @@ def _suite_snf_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
 # in kernel-oracle's box, m**3 in rigidity-empirical's (Z/m)^cols.
 RIGIDITY_ENUMERATION_CAP = 8000
 
+# The largest matrix size that ``witness`` and ``eval-word`` build: n for
+# en, 2n for esp and eo.  At 64 each such command takes 0.5 s or less;
+# witness --group esp --n 64 (size 128) takes 3.3 s and 87 MiB.
+MATRIX_SIZE_CAP = 64
+
 
 def _suite_kernel_oracle(ring: Ring, p: dict, check: _Checker) -> dict:
     if not isinstance(ring, Integers):
@@ -388,10 +394,11 @@ def _suite_conjugation(ring: Ring, p: dict, check: _Checker) -> dict:
                 lambda: (f"{label} ; q={format_matrix(q)}", "closed under conjugation"),
                 lambda: conjugate_module(ctx, q), (ValueError, IdentityViolation))
             if closed is not None and t == 0 and not check.samples:
-                [conjugate] = conjugate_by_stabilizer(ctx, q, witnesses[:1])
+                # the closed module streams the conjugates in the witnesses' order
+                [f] = combination_stream(closed, 1)
                 check.samples.append({"witness": format_matrix(witnesses[0].matrix),
                                       "conjugator": format_matrix(q),
-                                      "conjugate": format_matrix(conjugate.matrix)})
+                                      "conjugate": format_matrix(ShearWitness(ring, f).matrix)})
     return {"trials": p["trials"]}
 
 

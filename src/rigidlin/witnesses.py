@@ -19,7 +19,7 @@ product with the Gram matrix.  Every kernel comes from ``kernel_basis``:
 over Z[x] the streams walk a full-rank submodule of the kernel that may
 be proper, elsewhere the whole kernel.
 Each conjugator is checked once, where it enters (``StabilizerContext``,
-``conjugate_module``, ``conjugate_by_stabilizer``).
+``conjugate_module``).
 """
 
 from __future__ import annotations
@@ -145,11 +145,6 @@ def intersection_witnesses(ctx: StabilizerContext, count: int) -> Iterator[Shear
         yield ShearWitness(ctx.ring, functional)
 
 
-def _lower_columns(q: Matrix) -> tuple:
-    # the columns of the lower block A of q = (1, x; 0, A)
-    return tuple(zip(*(row[1:] for row in q.entries[1:])))
-
-
 def _check_conjugator(ctx: StabilizerContext, q: Matrix):
     # ValueError unless q is a stabilizer element of the context
     if q.rows != ctx.size or q.cols != ctx.size or q.ring != ctx.ring:
@@ -163,51 +158,28 @@ def _check_conjugator(ctx: StabilizerContext, q: Matrix):
             raise ValueError("conjugator does not fix the conjugated images")
 
 
-def _conjugated(ctx: StabilizerContext, q: Matrix, functionals) -> tuple:
-    # each f*A, checked before any is returned; coordinate j is one dots with column j of A
-    conjugated = tuple(zip(*(ctx.ring.dots(col, functionals) for col in _lower_columns(q))))
-    for functional in conjugated:
-        if not ctx.annihilates(functional):
-            raise IdentityViolation("conjugated functional does not annihilate an image")
-    return conjugated
-
-
 def conjugate_module(ctx: StabilizerContext, q: Matrix) -> KernelModule:
     """``ctx.kernel`` conjugated by a stabilizer element q = (1, x; 0, A):
-    the module generated by g*A for each generator g.
+    the module generated by g*A for each generator g, the functionals of
+    the shears q^-1 * T * q.
 
     q is checked where it enters: matching ring and size, first column e1,
     unit determinant, and fixing every image (``ValueError`` otherwise).
     Checking each g*A by ``ctx.annihilates`` checks closure for the whole
     module: f -> f*A is linear, so it maps combinations of the generators
-    to the same combinations of the g*A.
+    to the same combinations of the g*A.  It is also injective (det A is
+    a unit), so ``combination_stream`` walks the conjugates of the
+    module's stream in the same order.
     """
     _check_conjugator(ctx, q)
-    kernel = ctx.kernel
-    return KernelModule(ctx.ring, kernel.ambient_dim, _conjugated(ctx, q, kernel.basis))
-
-
-def conjugate_by_stabilizer(ctx: StabilizerContext, q: Matrix, witnesses) -> Iterator[ShearWitness]:
-    """Conjugate arbitrary shears by a stabilizer element q = (1, x; 0, A)
-    of the context, yielding q^-1 * T * q for each in order.
-
-    q and each result, the shear of f' = f*A, are checked as in
-    ``conjugate_module``, before anything is yielded (as q e1 = e1, q * T'
-    and T * q agree off the first row, and there (1, x + f') = (1, x) +
-    (0, f)*q), so each T' lies in the intersection whatever shear it came
-    from.  A shear of another ring or length is refused (``ValueError``).
-    """
-    ring, dim = ctx.ring, ctx.size - 1
-    _check_conjugator(ctx, q)
-    functionals = []
-    for witness in witnesses:
-        if witness.ring is not ring and witness.ring != ring:
-            raise ValueError(f"shear ring {witness.ring.descriptor} != {ring.descriptor}")
-        if len(witness.functional) != dim:
-            raise ValueError(f"shear functional length {len(witness.functional)} != {dim}")
-        functionals.append(witness.functional)
-    for functional in _conjugated(ctx, q, functionals):
-        yield ShearWitness(ring, functional)
+    ring, basis = ctx.ring, ctx.kernel.basis
+    # coordinate j of every g*A is one dots with column j of A
+    columns = zip(*(row[1:] for row in q.entries[1:]))
+    conjugated = tuple(zip(*(ring.dots(col, basis) for col in columns)))
+    for functional in conjugated:
+        if not ctx.annihilates(functional):
+            raise IdentityViolation("conjugated functional does not annihilate an image")
+    return KernelModule(ring, ctx.kernel.ambient_dim, conjugated)
 
 
 def complement_module(form: BilinearForm, vectors) -> KernelModule:

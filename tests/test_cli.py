@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import rigidlin.cli
 import rigidlin.normal_forms
 import rigidlin.suites
 import rigidlin.witnesses
@@ -158,6 +159,29 @@ def test_kernel_oracle_box_above_the_enumeration_cap_is_refused(capsys, monkeypa
     monkeypatch.setattr(rigidlin.suites, "kernel_basis", no_trial)
     code, out, err = run_cli(capsys, "verify", "kernel-oracle", "--param", "box=1000")
     _assert_refused(code, out, err, "the cap is 8000")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval-word", "--group", "en", "--n", "65", "--word", "e(1,2,3)"),
+    ("eval-word", "--group", "en", "--n", "100000", "--word", "e(1,2,3)"),
+    ("eval-word", "--group", "esp", "--n", "33", "--word", "rl(1,2)"),
+    ("witness", "--group", "en", "--n", "65"),
+    ("witness", "--group", "eo", "--n", "33"),
+], ids=["eval-en", "eval-en-huge", "eval-esp", "witness-en", "witness-eo"])
+def test_matrix_size_above_the_cap_is_refused(capsys, monkeypatch, argv):
+    # refused before the word is parsed, so at once whatever the size
+    def no_word(*args):
+        raise AssertionError("a word was parsed")
+
+    monkeypatch.setattr(rigidlin.cli, "parse_word", no_word)
+    code, out, err = run_cli(capsys, *argv)
+    _assert_refused(code, out, err, f"the cap is {rigidlin.suites.MATRIX_SIZE_CAP}")
+
+
+@pytest.mark.parametrize("group, n, word", [("en", "64", "e(1,2,3)"), ("esp", "32", "rl(1,2)")])
+def test_matrix_size_at_the_cap_runs(capsys, group, n, word):
+    code, out, _ = run_cli(capsys, "eval-word", "--group", group, "--n", n, "--word", word, "--json")
+    assert code == 0 and json.loads(out)["det"] == "1"
 
 
 def test_witness_refuses_linear_size_one(capsys):

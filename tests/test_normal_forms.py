@@ -26,6 +26,7 @@ from rigidlin import (
     smith_normal_form,
     solution_stream,
 )
+from rigidlin.normal_forms import coefficient_tuples
 
 Z = Integers()
 
@@ -612,6 +613,29 @@ def test_solution_stream_finite_ring_terminates():
     kernel = {v for v in itertools.product(range(6), repeat=2)
               if all(x == 0 for x in a.apply(v))}
     assert set(found) == kernel - {(0, 0)}
+
+
+def _filtered_coefficient_tuples(ring, k):
+    """The grading by definition: every rank tuple of each grade's cube,
+    keeping those whose largest rank is the grade."""
+    pool = list(itertools.islice(ring.elements(), 12))
+    for grade in range(len(pool)):
+        for ranks in itertools.product(range(grade + 1), repeat=k):
+            if max(ranks) == grade:
+                yield tuple(pool[r] for r in ranks)
+
+
+@pytest.mark.parametrize("ring", [Z, Modular(3), GaussianIntegers(), PrimeFieldPolynomials(5)],
+                         ids=lambda ring: ring.descriptor)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_coefficient_tuples_emit_each_grade_in_order(ring, k):
+    expected = list(itertools.islice(_filtered_coefficient_tuples(ring, k), 2_000))
+    stream = coefficient_tuples(ring, k)
+    if ring.is_finite:  # the whole stream, which ends after the last element's grade
+        assert list(stream) == expected
+        assert len(expected) == ring.cardinality ** k
+    else:
+        assert list(itertools.islice(stream, len(expected))) == expected
 
 
 def test_principal_kernel_family():

@@ -4,8 +4,8 @@ contract over Z[x], on matrices of up to 3 x 4 with entries of degree at
 most 2, and of the packed A v = 0 check over Z against ``Matrix.apply``,
 on matrices of up to 6 x 8 with entries up to 2^130, of Fp[x] axpy
 against schoolbook for p <= 13, where it packs byte slots, and of
-``conjugate_module`` against conjugated witness batches over Z, Z/7 and
-Fp[x]/5, on stabilizer contexts of size 3 to 5.  The examples
+``conjugate_module`` against the dense conjugates of witnesses over Z,
+Z/7, Zi and Fp[x]/5, on stabilizer contexts of size 3 to 5.  The examples
 are derandomized and their number is fixed, so every run checks the same
 inputs; a failure is shrunk and prints the input it drew."""
 
@@ -15,13 +15,14 @@ import random
 import pytest
 
 from rigidlin import (
+    GaussianIntegers,
     IntegerPolynomials,
     Integers,
     Matrix,
     Modular,
     PrimeFieldPolynomials,
+    ShearWitness,
     StabilizerContext,
-    conjugate_by_stabilizer,
     conjugate_module,
     hermite_normal_form,
     in_row_span,
@@ -31,7 +32,7 @@ from rigidlin import (
     solution_stream,
 )
 from rigidlin.matrix import vec_is_zero
-from rigidlin.normal_forms import _annihilator
+from rigidlin.normal_forms import _annihilator, combination_stream
 from rigidlin.suites import _random_stabilizer_conjugator, random_elementary_word
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -215,7 +216,7 @@ def test_packed_axpy_matches_schoolbook(p, data):
     assert ring.axpy(xs, q, ys) == expected
 
 
-CONJUGATION_RINGS = {"Z": Z, "Z/7": Modular(7), "Fp[x]/5": F5}
+CONJUGATION_RINGS = {"Z": Z, "Z/7": Modular(7), "Zi": GaussianIntegers(), "Fp[x]/5": F5}
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -230,5 +231,11 @@ def test_conjugated_witnesses_lie_in_the_conjugated_module(data):
     pool = [ring.parse(str(c)) for c in (-2, -1, 0, 1, 2)]
     q = _random_stabilizer_conjugator(rng, ring, n, [w.functional for w in witnesses[:3]], pool)
     module = conjugate_module(ctx, q)
-    for conjugate in conjugate_by_stabilizer(ctx, q, witnesses):
-        assert in_row_span(ring, module.basis, conjugate.functional)
+    conjugates = list(combination_stream(module, 8))
+    assert len(conjugates) == len(witnesses)
+    q_inverse = q.inverse()
+    for witness, functional in zip(witnesses, conjugates):
+        # the dense conjugate is the shear the module streams in the witness's place
+        conjugate = q_inverse @ witness.matrix @ q
+        assert conjugate == ShearWitness(ring, functional).matrix
+        assert in_row_span(ring, module.basis, functional)

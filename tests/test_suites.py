@@ -336,20 +336,23 @@ def test_broken_intersection_witness_is_a_reported_failure(monkeypatch, suite):
     assert report.samples == []
 
 
-_real_lower_columns = rigidlin.witnesses._lower_columns
+_real_conjugator = rigidlin.suites._random_stabilizer_conjugator
 
 
-def _wrong_lower_columns(q):
-    """The columns of q's lower block, from which conjugated functionals
-    are computed, with one added to each entry: the block they read no
-    longer fixes the images' tails, while q itself passes every check."""
-    ring = q.ring
-    return tuple(tuple(ring.add(c, ring.one) for c in col) for col in _real_lower_columns(q))
+def _wrong_conjugator(rng, ring, n, functionals, pool):
+    """The suite's conjugator, drawn as before, with one added to each
+    entry of its lower block A, from which conjugated functionals are
+    computed: the block no longer fixes the images' tails."""
+    q = _real_conjugator(rng, ring, n, functionals, pool)
+    lower = tuple(row[:1] + tuple(ring.add(c, ring.one) for c in row[1:]) for row in q.entries[1:])
+    return Matrix._raw(ring, q.entries[:1] + lower)
 
 
 def test_broken_conjugate_is_a_reported_failure(monkeypatch):
-    # f' = f * (A + J) no longer annihilates the images that A fixes
-    monkeypatch.setattr(rigidlin.witnesses, "_lower_columns", _wrong_lower_columns)
+    # with q's entry check switched off, f' = f * (A + J) is still caught:
+    # it no longer annihilates the images that A fixes
+    monkeypatch.setattr(rigidlin.suites, "_random_stabilizer_conjugator", _wrong_conjugator)
+    monkeypatch.setattr(rigidlin.witnesses, "_check_conjugator", lambda ctx, q: None)
     report = run_suite("lemma-new", Z,
                        {"n": 3, "trials": 2, "need": 4, "conjugators": 3, "seed": 1})
     assert report.verdict == "fail"

@@ -20,7 +20,6 @@ from rigidlin import (
     block_unipotent_witnesses,
     build_shear,
     complement_module,
-    conjugate_by_stabilizer,
     conjugate_module,
     elementary_matrix,
     form_matrix,
@@ -124,94 +123,57 @@ def test_intersection_witnesses_finite_ring():
 
 def test_conjugate_by_identity_and_row_shears():
     ctx = StabilizerContext(Z, 4, ())
-    witness = build_shear(Z, 4, (1, 2, 3))
-    [result] = conjugate_by_stabilizer(ctx, Matrix.identity(Z, 4), [witness])
-    assert result.functional == (1, 2, 3)
-    # a pure row shear (lower block identity) leaves the functional alone
-    q = build_shear(Z, 4, (7, -1, 0)).matrix
-    [result] = conjugate_by_stabilizer(ctx, q, [witness])
-    assert result.functional == (1, 2, 3)
+    # the identity, and a pure row shear (lower block identity), leave
+    # every functional alone
+    for q in (Matrix.identity(Z, 4), build_shear(Z, 4, (7, -1, 0)).matrix):
+        assert conjugate_module(ctx, q) == ctx.kernel
 
 
 def test_conjugate_by_block_embedding():
-    # q = 1 (+) A rotates the functional by A
+    # q = 1 (+) A rotates each functional by A
     q = parse_matrix(Z, "1,0,0;0,0,1;0,-1,0")  # A = (0, 1; -1, 0)
     ctx = StabilizerContext(Z, 3, ())
-    witness = build_shear(Z, 3, (2, 5))
-    [result] = conjugate_by_stabilizer(ctx, q, [witness])
-    assert result.functional == (-5, 2)  # (2,5) @ [[0,1],[-1,0]]
-    assert result.matrix == q.inverse() @ witness.matrix @ q
+    module = conjugate_module(ctx, q)
+    assert module.basis == ((0, 1), (-1, 0))
+    # every shear with entries up to 5 in size, paired with its conjugate
+    conjugates = dict(zip(combination_stream(ctx.kernel, 120), combination_stream(module, 120)))
+    assert conjugates[2, 5] == (-5, 2)  # (2,5) @ [[0,1],[-1,0]]
+    q_inverse = q.inverse()
+    for f, conjugate in conjugates.items():
+        assert ShearWitness(Z, conjugate).matrix == q_inverse @ ShearWitness(Z, f).matrix @ q
 
 
 def test_conjugate_respects_context_constraints():
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    witness = next(iter(intersection_witnesses(ctx, 1)))
     # a conjugator that moves the image is rejected as input error
     with pytest.raises(ValueError):
-        list(conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), [witness]))
-    # one that fixes it is accepted and the new functional annihilates it
+        conjugate_module(ctx, parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"))
+    # one that fixes it is accepted and the new functionals annihilate it
     good = parse_matrix(Z, "1,0,4;0,1,7;0,0,1")
-    [result] = conjugate_by_stabilizer(ctx, good, [witness])
-    assert sum(x * u for x, u in zip(result.functional, (1, 0))) == 0
+    for functional in combination_stream(conjugate_module(ctx, good), 5):
+        assert sum(x * u for x, u in zip(functional, (1, 0))) == 0
 
 
 def test_conjugate_rejects_non_stabilizer():
     ctx = StabilizerContext(Z, 3, ())
     with pytest.raises(ValueError):
-        list(conjugate_by_stabilizer(ctx, elementary_matrix(Z, 3, 2, 1, 1), []))
+        conjugate_module(ctx, elementary_matrix(Z, 3, 2, 1, 1))
     with pytest.raises(ValueError):
-        list(conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,0;0,2,0;0,0,1"), []))  # det 2
+        conjugate_module(ctx, parse_matrix(Z, "1,0,0;0,2,0;0,0,1"))  # det 2
 
 
-def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
-    # build_shear takes any functional: f = (1, 0) does not annihilate the
-    # image tail (1, 0), so no conjugate of its shear is a member
-    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    outsider = build_shear(Z, 3, (1, 0))
-    member = build_shear(Z, 3, (0, 1))
-    for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
-        stream = conjugate_by_stabilizer(ctx, q, [member, outsider, member])
-        with pytest.raises(IdentityViolation, match="does not annihilate an image"):
-            next(stream)  # no member of the batch is yielded first
-
-
-def test_conjugator_is_checked_where_it_enters():
+@pytest.mark.parametrize("q, message", [
+    (Matrix.identity(Z, 4), "does not match the context"),
+    (Matrix.identity(Modular(5), 3), "does not match the context"),
+    (elementary_matrix(Z, 3, 2, 1, 1), "is not a stabilizer element (first column != e1)"),
+    (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "is not invertible"),  # det 2, fixes the image
+    (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix the conjugated images"),  # det 1
+], ids=["size", "ring", "first-column", "det", "image"])
+def test_conjugator_is_checked_where_it_enters(q, message):
     # one conjugator moving e1 to the image (1, 1, 0)
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    cases = (
-        (Matrix.identity(Z, 4), "does not match the context"),  # wrong size
-        (elementary_matrix(Z, 3, 2, 1, 1), "not a stabilizer element"),
-        (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "not invertible"),  # det 2, fixes the image
-        (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix"),  # det 1, moves the image
-    )
-    for q, message in cases:
-        # refused even with an empty batch: q is checked before the shears
-        with pytest.raises(ValueError, match=message):
-            list(conjugate_by_stabilizer(ctx, q, []))
-    # a shear of another size is refused
-    with pytest.raises(ValueError, match="length"):
-        list(conjugate_by_stabilizer(ctx, Matrix.identity(Z, 3), [build_shear(Z, 4, (0, 0, 1))]))
-
-
-def test_conjugate_an_empty_batch_yields_nothing():
-    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    q = parse_matrix(Z, "1,0,4;0,1,7;0,0,1")
-    assert list(conjugate_by_stabilizer(ctx, q, [])) == []
-    assert list(conjugate_by_stabilizer(ctx, q, iter(()))) == []
-
-
-@pytest.mark.parametrize("bad, message", [(build_shear(Z, 4, (0, 0, 1)), "length"),
-                                          (ShearWitness(Modular(7), (5, 6)), "ring")],
-                         ids=["length", "ring"])
-@pytest.mark.parametrize("position", [0, 2, 4])
-def test_conjugate_refuses_a_bad_shear_before_yielding(bad, message, position):
-    # a shear over Z/7 used to come back silently as a shear over Z
-    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    batch = [build_shear(Z, 3, (0, c)) for c in range(4)]
-    batch.insert(position, bad)
-    stream = conjugate_by_stabilizer(ctx, parse_matrix(Z, "1,0,4;0,1,7;0,0,1"), batch)
-    with pytest.raises(ValueError, match=message):
-        next(stream)
+    with pytest.raises(ValueError, match=f"^conjugator {re.escape(message)}$"):
+        conjugate_module(ctx, q)
 
 
 def test_conjugate_module_spans_the_conjugated_witnesses():
@@ -220,36 +182,25 @@ def test_conjugate_module_spans_the_conjugated_witnesses():
     q = parse_matrix(Z, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1")  # A = (1, 2, 5; 0, 2, 1; 0, 1, 1)
     module = conjugate_module(ctx, q)
     assert module == KernelModule(Z, 3, ((0, 2, 1), (0, 1, 1)))
-    conjugates = [w.functional for w in conjugate_by_stabilizer(
-        ctx, q, list(intersection_witnesses(ctx, 8)))]
+    q_inverse = q.inverse()
+    conjugates = [(q_inverse @ w.matrix @ q).entries[0][1:] for w in intersection_witnesses(ctx, 8)]
     assert all(in_row_span(Z, module.basis, f) for f in conjugates)
     assert all(in_row_span(Z, conjugates, g) for g in module.basis)
 
 
-@pytest.mark.parametrize("q", [
-    Matrix.identity(Z, 4),  # wrong size
-    Matrix.identity(Modular(5), 3),  # wrong ring
-    elementary_matrix(Z, 3, 2, 1, 1),  # first column != e1
-    parse_matrix(Z, "1,0,0;0,1,0;0,0,2"),  # det 2, fixes the image
-    parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"),  # det 1, moves the image
-], ids=["size", "ring", "first-column", "det", "image"])
-def test_conjugate_module_refuses_as_conjugate_by_stabilizer(q):
-    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
-    with pytest.raises(ValueError) as by_module:
-        conjugate_module(ctx, q)
-    with pytest.raises(ValueError) as by_batch:
-        list(conjugate_by_stabilizer(ctx, q, []))
-    assert str(by_module.value) == str(by_batch.value)
-
-
 def test_conjugate_module_checks_every_generator():
     # a module whose second generator does not annihilate the image tail
-    # (1, 0, 0): its first conjugate passes, its second must not
-    ctx = StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 2, 1, 1),))
-    ctx.kernel = KernelModule(Z, 3, ((0, 1, 0), (1, 0, 1)))
-    q = parse_matrix(Z, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1")
-    with pytest.raises(IdentityViolation, match="does not annihilate an image"):
-        conjugate_module(ctx, q)
+    # (1, 0, ...): its first conjugate passes, its second must not
+    cases = (
+        (4, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1", ((0, 1, 0), (1, 0, 1))),
+        (3, "1,0,0;0,1,0;0,0,1", ((0, 1), (1, 0))),
+        (3, "1,0,5;0,1,3;0,0,1", ((0, 1), (1, 0))),
+    )
+    for size, q, basis in cases:
+        ctx = StabilizerContext(Z, size, (elementary_matrix(Z, size, 2, 1, 1),))
+        ctx.kernel = KernelModule(Z, size - 1, basis)
+        with pytest.raises(IdentityViolation, match="does not annihilate an image"):
+            conjugate_module(ctx, parse_matrix(Z, q))
 
 
 def _pool(ring):
@@ -260,23 +211,24 @@ _RINGS = {"Z": Z, "Z/7": Modular(7), "Zi": GaussianIntegers(), "Fp[x]/5": PrimeF
 
 
 def test_conjugate_matches_the_dense_product():
-    # T' = q^-1 T q on random stabilizer elements fixing the context images,
-    # whole batches at once: same length, same order
+    # T' = q^-1 T q on random stabilizer elements fixing the context images:
+    # the conjugated module streams each T' where the kernel streams T
     rng = random.Random(89)
     for ring in _RINGS.values():
         pool = _pool(ring)
         for n in (3, 4, 5):
             word = random_elementary_word(rng, ring, n, 4)
             ctx = StabilizerContext(ring, n, (word.evaluate(),))
-            witnesses = list(itertools.islice(intersection_witnesses(ctx, 6), 6))
-            functionals = [w.functional for w in witnesses[:3]]
+            functionals = list(combination_stream(ctx.kernel, 3))
             for _ in range(4):
                 q = _random_stabilizer_conjugator(rng, ring, n, functionals, pool)
-                results = list(conjugate_by_stabilizer(ctx, q, witnesses))
-                assert len(results) == len(witnesses)
+                shears = list(combination_stream(ctx.kernel, 6))
+                conjugates = list(combination_stream(conjugate_module(ctx, q), 6))
+                assert len(conjugates) == len(shears)
                 q_inverse = q.inverse()
-                for w, result in zip(witnesses, results):
-                    assert result.matrix == q_inverse @ w.matrix @ q
+                for f, conjugate in zip(shears, conjugates):
+                    expected = q_inverse @ ShearWitness(ring, f).matrix @ q
+                    assert ShearWitness(ring, conjugate).matrix == expected
 
 
 def _identity_plus_outer(ring, col, row):
