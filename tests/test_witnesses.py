@@ -169,11 +169,28 @@ def test_conjugate_rejects_non_stabilizer():
     (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "is not invertible"),  # det 2, fixes the image
     (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix the conjugated images"),  # det 1
 ], ids=["size", "ring", "first-column", "det", "image"])
-def test_conjugator_is_checked_where_it_enters(q, message):
+def test_conjugate_module_refuses_a_bad_conjugator(q, message):
     # one conjugator moving e1 to the image (1, 1, 0)
     ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
     with pytest.raises(ValueError, match=f"^conjugator {re.escape(message)}$"):
         conjugate_module(ctx, q)
+
+
+def test_conjugator_is_checked_where_it_enters():
+    # the kernel's second generator (1, 0) does not annihilate the image
+    # tail (1, 0); a bad conjugator is refused before any generator is
+    # conjugated, so the refusal is the ValueError, not the violation
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    ctx.kernel = KernelModule(Z, 2, ((0, 1), (1, 0)))
+    cases = (
+        (Matrix.identity(Z, 4), "does not match the context"),  # wrong size
+        (elementary_matrix(Z, 3, 2, 1, 1), "not a stabilizer element"),
+        (parse_matrix(Z, "1,0,0;0,1,0;0,0,2"), "not invertible"),  # det 2, fixes the image
+        (parse_matrix(Z, "1,0,0;0,0,1;0,-1,0"), "does not fix"),  # det 1, moves the image
+    )
+    for q, message in cases:
+        with pytest.raises(ValueError, match=message):
+            conjugate_module(ctx, q)
 
 
 def test_conjugate_module_spans_the_conjugated_witnesses():
@@ -190,17 +207,24 @@ def test_conjugate_module_spans_the_conjugated_witnesses():
 
 def test_conjugate_module_checks_every_generator():
     # a module whose second generator does not annihilate the image tail
-    # (1, 0, ...): its first conjugate passes, its second must not
-    cases = (
-        (4, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1", ((0, 1, 0), (1, 0, 1))),
-        (3, "1,0,0;0,1,0;0,0,1", ((0, 1), (1, 0))),
-        (3, "1,0,5;0,1,3;0,0,1", ((0, 1), (1, 0))),
-    )
-    for size, q, basis in cases:
-        ctx = StabilizerContext(Z, size, (elementary_matrix(Z, size, 2, 1, 1),))
-        ctx.kernel = KernelModule(Z, size - 1, basis)
-        with pytest.raises(IdentityViolation, match="does not annihilate an image"):
-            conjugate_module(ctx, parse_matrix(Z, q))
+    # (1, 0, 0): its first conjugate passes, its second must not
+    ctx = StabilizerContext(Z, 4, (elementary_matrix(Z, 4, 2, 1, 1),))
+    ctx.kernel = KernelModule(Z, 3, ((0, 1, 0), (1, 0, 1)))
+    q = parse_matrix(Z, "1,0,3,-1;0,1,2,5;0,0,2,1;0,0,1,1")
+    with pytest.raises(IdentityViolation, match="does not annihilate an image"):
+        conjugate_module(ctx, q)
+
+
+def test_conjugating_a_shear_outside_the_intersection_is_a_violation():
+    # f = (1, 0) does not annihilate the image tail (1, 0), so no conjugate
+    # of its shear is a member: a module holding it as a generator, beside
+    # the member (0, 1), is refused whichever side of it the outsider sits
+    ctx = StabilizerContext(Z, 3, (elementary_matrix(Z, 3, 2, 1, 1),))
+    for basis in (((0, 1), (1, 0)), ((1, 0), (0, 1))):
+        ctx.kernel = KernelModule(Z, 2, basis)
+        for q in (Matrix.identity(Z, 3), parse_matrix(Z, "1,0,5;0,1,3;0,0,1")):
+            with pytest.raises(IdentityViolation, match="does not annihilate an image"):
+                conjugate_module(ctx, q)
 
 
 def _pool(ring):
